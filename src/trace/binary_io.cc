@@ -1,7 +1,10 @@
 #include "trace/binary_io.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 
+#include "trace/mmap_file.hh"
 #include "util/logging.hh"
 
 namespace bpsim
@@ -11,99 +14,84 @@ namespace
 {
 
 constexpr char kMagic[4] = {'B', 'B', 'T', '1'};
-constexpr std::uint32_t kVersion = 1;
+/** Version 2 replaced the FNV-1a payload checksum with
+ *  TraceChecksum; version-1 files are rejected. */
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 24;
 constexpr std::size_t kFlushThreshold = 1 << 20;
+/** Every record takes at least three 1-byte varints. */
+constexpr std::size_t kMinRecordBytes = 3;
 
-/*
- * The open/decode steps below return error strings instead of
- * terminating so both surfaces share them: BinaryTraceReader keeps
- * the fatal() contract for command-line users, tryReadBinaryTrace()
- * reports the same errors non-fatally for the trace store's
- * regenerate-on-corruption ladder.
+/**
+ * The one BBT1 decode loop: validates @p path and decodes all its
+ * records into @p out. "" on success; the error text otherwise, with
+ * @p out in an unspecified state.
  */
-
-/** Validates the header/checksum of @p path and extracts the payload
- *  and record count; "" on success. */
 std::string
-openPayload(const std::string &path, std::vector<std::uint8_t> &payload,
-            std::uint64_t &count)
+decodeFile(const std::string &path, MemoryTrace &out)
 {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in)
-        return "cannot open trace file '" + path + "'";
-    const std::streamoff file_size = in.tellg();
-    if (file_size < static_cast<std::streamoff>(kHeaderSize + 8))
+    std::string error;
+    const std::shared_ptr<const MmapFile> file =
+        MmapFile::open(path, error);
+    if (!file)
+        return error;
+    if (file->size() < kHeaderSize + 8)
         return "'" + path + "' is too small to be a BBT1 trace";
-    in.seekg(0);
-
-    std::uint8_t header[kHeaderSize];
-    in.read(reinterpret_cast<char *>(header), kHeaderSize);
+    const std::uint8_t *header = file->data();
     if (std::memcmp(header, kMagic, 4) != 0)
         return "'" + path + "' is not a BBT1 trace (bad magic)";
     const std::uint32_t version = getLe32(header + 4);
     if (version != kVersion)
         return "'" + path + "': unsupported BBT1 version " +
                std::to_string(version);
-    count = getLe64(header + 8);
+    const std::uint64_t count = getLe64(header + 8);
 
+    const std::uint8_t *payload = header + kHeaderSize;
+    const std::uint8_t *end = header + file->size() - 8;
     const std::size_t payload_size =
-        static_cast<std::size_t>(file_size) - kHeaderSize - 8;
-    payload.resize(payload_size);
-    in.read(reinterpret_cast<char *>(payload.data()),
-            static_cast<std::streamsize>(payload_size));
-    std::uint8_t trailer[8];
-    in.read(reinterpret_cast<char *>(trailer), 8);
-    if (!in)
-        return "I/O error while reading '" + path + "'";
-
-    Fnv1a checksum;
-    checksum.update(payload.data(), payload.size());
-    if (checksum.digest() != getLe64(trailer))
+        static_cast<std::size_t>(end - payload);
+    TraceChecksum checksum;
+    checksum.update(payload, payload_size);
+    if (checksum.digest() != getLe64(end))
         return "'" + path + "': checksum mismatch, file corrupt";
-    return "";
-}
 
-/** Decodes the record at @p offset (the @p produced -th one); "" on
- *  success. */
-std::string
-decodeRecord(const std::vector<std::uint8_t> &payload,
-             std::size_t &offset, std::uint64_t &previousPc,
-             std::uint64_t produced, BranchRecord &record)
-{
-    std::uint64_t flags, pc_delta, target_delta;
-    if (!getVarint(payload.data(), payload.size(), offset, flags) ||
-        !getVarint(payload.data(), payload.size(), offset, pc_delta) ||
-        !getVarint(payload.data(), payload.size(), offset,
-                   target_delta)) {
-        return "BBT1 payload ended early at record " +
-               std::to_string(produced);
+    // A corrupt count cannot make the reservation outgrow the
+    // payload: short records end the decode early instead.
+    out.clear();
+    out.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(count, payload_size / kMinRecordBytes)));
+    const std::uint8_t *p = payload;
+    std::uint64_t pc = 0;
+    for (std::uint64_t produced = 0; produced < count; ++produced) {
+        std::uint64_t flags, pc_delta, target_delta;
+        if (!readVarint(p, end, flags) || !readVarint(p, end, pc_delta) ||
+            !readVarint(p, end, target_delta)) {
+            return "'" + path + "': BBT1 payload ended early at record " +
+                   std::to_string(produced);
+        }
+        const std::uint64_t type_bits = (flags >> 1) & 0x7;
+        if (type_bits >
+            static_cast<std::uint64_t>(BranchType::IndirectJump)) {
+            return "'" + path + "': BBT1 record " +
+                   std::to_string(produced) + " has invalid type " +
+                   std::to_string(type_bits);
+        }
+        BranchRecord record;
+        pc += static_cast<std::uint64_t>(zigzagDecode(pc_delta));
+        record.pc = pc;
+        record.target =
+            pc + static_cast<std::uint64_t>(zigzagDecode(target_delta));
+        record.type = static_cast<BranchType>(type_bits);
+        record.taken = flags & 1;
+        out.append(record);
     }
-    record.taken = flags & 1;
-    const std::uint64_t type_bits = (flags >> 1) & 0x7;
-    if (type_bits > static_cast<std::uint64_t>(BranchType::IndirectJump))
-        return "BBT1 record " + std::to_string(produced) +
-               " has invalid type " + std::to_string(type_bits);
-    record.type = static_cast<BranchType>(type_bits);
-    record.pc =
-        previousPc + static_cast<std::uint64_t>(zigzagDecode(pc_delta));
-    record.target =
-        record.pc + static_cast<std::uint64_t>(zigzagDecode(target_delta));
-    previousPc = record.pc;
+    // Exactly count records must consume the whole payload; extra
+    // bytes mean the count field and the payload disagree.
+    if (p != end)
+        return "'" + path + "': BBT1 payload has " +
+               std::to_string(end - p) + " trailing byte(s) after the " +
+               "declared " + std::to_string(count) + " record(s)";
     return "";
-}
-
-/** The trailing-garbage check: after the declared record count, the
- *  payload must be fully consumed; "" on success. */
-std::string
-checkFullyConsumed(const std::vector<std::uint8_t> &payload,
-                   std::size_t offset, std::uint64_t count)
-{
-    if (offset == payload.size())
-        return "";
-    return "BBT1 payload has " + std::to_string(payload.size() - offset) +
-           " trailing byte(s) after the declared " +
-           std::to_string(count) + " record(s)";
 }
 
 } // namespace
@@ -118,6 +106,7 @@ BinaryTraceWriter::BinaryTraceWriter(const std::string &path)
     putLe32(header + 4, kVersion);
     // Count (bytes 8..15) is patched in finish().
     file.write(reinterpret_cast<const char *>(header), kHeaderSize);
+    buffer.reserve(kFlushThreshold + 3 * kMaxVarintBytes);
 }
 
 BinaryTraceWriter::~BinaryTraceWriter()
@@ -135,11 +124,13 @@ BinaryTraceWriter::append(const BranchRecord &record)
     const std::uint64_t flags =
         (static_cast<std::uint64_t>(record.type) << 1) |
         (record.taken ? 1 : 0);
-    putVarint(buffer, flags);
-    putVarint(buffer, zigzagEncode(static_cast<std::int64_t>(
-        record.pc - previousPc)));
-    putVarint(buffer, zigzagEncode(static_cast<std::int64_t>(
-        record.target - record.pc)));
+    std::uint8_t bytes[3 * kMaxVarintBytes];
+    std::size_t n = encodeVarint(bytes, flags);
+    n += encodeVarint(bytes + n, zigzagEncode(static_cast<std::int64_t>(
+                                     record.pc - previousPc)));
+    n += encodeVarint(bytes + n, zigzagEncode(static_cast<std::int64_t>(
+                                     record.target - record.pc)));
+    buffer.insert(buffer.end(), bytes, bytes + n);
     previousPc = record.pc;
     ++count;
     if (buffer.size() >= kFlushThreshold)
@@ -160,8 +151,17 @@ BinaryTraceWriter::flushBuffer()
 void
 BinaryTraceWriter::finish()
 {
+    std::string why;
+    if (!tryFinish(why))
+        BPSIM_FATAL(why);
+}
+
+bool
+BinaryTraceWriter::tryFinish(std::string &why)
+{
     if (finished)
-        return;
+        return true;
+    finished = true;
     flushBuffer();
     std::uint8_t trailer[8];
     putLe64(trailer, checksum.digest());
@@ -171,51 +171,29 @@ BinaryTraceWriter::finish()
     putLe64(count_bytes, count);
     file.write(reinterpret_cast<const char *>(count_bytes), 8);
     file.flush();
-    if (!file)
-        BPSIM_FATAL("I/O error while finalizing trace file '" << path << "'");
+    const bool ok = static_cast<bool>(file);
     file.close();
-    finished = true;
+    if (!ok) {
+        why = "I/O error while finalizing trace file '" + path + "'";
+        return false;
+    }
+    return true;
 }
 
 BinaryTraceReader::BinaryTraceReader(const std::string &path)
 {
-    const std::string error = openPayload(path, payload, count);
+    const std::string error = tryReadBinaryTrace(path, records);
     if (!error.empty())
         BPSIM_FATAL(error);
-    // An empty trace has no last record to trigger the lazy check in
-    // next(), so reject trailing bytes here.
-    if (count == 0 && !payload.empty())
-        BPSIM_FATAL("'" << path << "': "
-                    << checkFullyConsumed(payload, 0, count));
 }
 
 bool
 BinaryTraceReader::next(BranchRecord &record)
 {
-    if (produced >= count)
+    if (position >= records.size())
         return false;
-    const std::string error =
-        decodeRecord(payload, offset, previousPc, produced, record);
-    if (!error.empty())
-        BPSIM_FATAL(error);
-    ++produced;
-    if (produced == count) {
-        // Exactly count records must consume the whole payload; extra
-        // bytes mean the count field and the payload disagree.
-        const std::string trailing =
-            checkFullyConsumed(payload, offset, count);
-        if (!trailing.empty())
-            BPSIM_FATAL(trailing);
-    }
+    record = records[position++];
     return true;
-}
-
-void
-BinaryTraceReader::rewind()
-{
-    produced = 0;
-    offset = 0;
-    previousPc = 0;
 }
 
 std::uint64_t
@@ -240,29 +218,12 @@ readBinaryTrace(const std::string &path, TraceWriter &sink)
 }
 
 std::string
-tryReadBinaryTrace(const std::string &path, TraceWriter &sink)
+tryReadBinaryTrace(const std::string &path, MemoryTrace &out)
 {
-    std::vector<std::uint8_t> payload;
-    std::uint64_t count = 0;
-    std::string error = openPayload(path, payload, count);
+    const std::string error = decodeFile(path, out);
     if (!error.empty())
-        return error;
-
-    std::size_t offset = 0;
-    std::uint64_t previous_pc = 0;
-    BranchRecord record;
-    for (std::uint64_t produced = 0; produced < count; ++produced) {
-        error = decodeRecord(payload, offset, previous_pc, produced,
-                             record);
-        if (!error.empty())
-            return "'" + path + "': " + error;
-        sink.append(record);
-    }
-    error = checkFullyConsumed(payload, offset, count);
-    if (!error.empty())
-        return "'" + path + "': " + error;
-    sink.finish();
-    return "";
+        out.clear();
+    return error;
 }
 
 } // namespace bpsim

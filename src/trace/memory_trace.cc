@@ -3,12 +3,6 @@
 namespace bpsim
 {
 
-void
-MemoryTrace::append(const BranchRecord &record)
-{
-    records.push_back(record);
-}
-
 MemoryTrace::Reader
 MemoryTrace::reader() const
 {

@@ -18,8 +18,9 @@
 namespace bpsim
 {
 
-/** Growable in-memory branch trace. */
-class MemoryTrace : public TraceWriter
+/** Growable in-memory branch trace. Final, so appends through a
+ *  MemoryTrace reference are direct, inlinable calls. */
+class MemoryTrace final : public TraceWriter
 {
   public:
     MemoryTrace() = default;
@@ -27,7 +28,10 @@ class MemoryTrace : public TraceWriter
     /** Reserves capacity for @p n records. */
     void reserve(std::size_t n) { records.reserve(n); }
 
-    void append(const BranchRecord &record) override;
+    void append(const BranchRecord &record) override
+    {
+        records.push_back(record);
+    }
     void finish() override {}
 
     std::size_t size() const { return records.size(); }

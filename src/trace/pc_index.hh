@@ -9,7 +9,8 @@
  * each distinct pc of a PackedTrace to a small integer id once, up
  * front, and materializes the id of every dynamic record as a
  * contiguous uint32 array parallel to the trace's pc array. A probe
- * then indexes its counters with one load: ids[i].
+ * then indexes its counters with one load: ids[i]. The build is one
+ * pass over a flat power-of-two open-addressing table keyed by pc.
  *
  * Ids are assigned in first-appearance order over the whole trace
  * (warm-up records included), so the id of a branch never depends on

@@ -21,11 +21,12 @@ namespace
 {
 
 constexpr char kPackedMagic[4] = {'P', 'B', 'T', '1'};
-/** Version 2 pads the taken bitmap to a kTraceArrayAlign file offset
- *  (see bitmapOffsetFor) so mmap'd views hand the replay kernels
- *  cache-line-aligned arrays; version-1 files are rejected and
- *  simply regenerated on the next store. */
-constexpr std::uint32_t kPackedVersion = 2;
+/** Version 2 padded the taken bitmap to a kTraceArrayAlign file
+ *  offset (see bitmapOffsetFor) so mmap'd views hand the replay
+ *  kernels cache-line-aligned arrays; version 3 replaced the FNV-1a
+ *  checksum with TraceChecksum. Older files are rejected and simply
+ *  regenerated on the next store. */
+constexpr std::uint32_t kPackedVersion = 3;
 constexpr std::size_t kPackedHeaderSize = 64;
 
 /* The pc array starts right after the header; its mmap'd alignment
@@ -57,7 +58,7 @@ fingerprintHex(std::uint64_t fingerprint)
 
 /** Checksums @p count words in their little-endian byte image. */
 void
-updateChecksumLe(Fnv1a &checksum, const std::uint64_t *words,
+updateChecksumLe(TraceChecksum &checksum, const std::uint64_t *words,
                  std::size_t count)
 {
     if (count == 0)
@@ -158,13 +159,9 @@ TraceStore::loadTrace(const std::string &name, std::uint64_t fingerprint,
         why = "no cached trace at '" + path + "'";
         return StoreStatus::Missing;
     }
-    out.clear();
-    out.reserve(static_cast<std::size_t>(expectedRecords));
     why = tryReadBinaryTrace(path, out);
-    if (!why.empty()) {
-        out.clear();
+    if (!why.empty())
         return StoreStatus::Invalid;
-    }
     if (out.size() != expectedRecords) {
         why = "'" + path + "' holds " + std::to_string(out.size()) +
               " records, expected " + std::to_string(expectedRecords);
@@ -190,11 +187,13 @@ TraceStore::storeTrace(const std::string &name, std::uint64_t fingerprint,
         }
     }
     BinaryTraceWriter writer(tmp);
-    auto reader = trace.reader();
-    BranchRecord record;
-    while (reader.next(record))
+    for (const BranchRecord &record : trace.data())
         writer.append(record);
-    writer.finish();
+    if (!writer.tryFinish(why)) {
+        std::error_code ec;
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
     return commitFile(tmp, path, why);
 }
 
@@ -252,7 +251,7 @@ TraceStore::loadPacked(const std::string &name, std::uint64_t fingerprint,
 
     const std::uint8_t *pc_bytes = base + kPackedHeaderSize;
     const std::uint8_t *bitmap_bytes = base + bitmap_offset;
-    Fnv1a checksum;
+    TraceChecksum checksum;
     checksum.update(pc_bytes, static_cast<std::size_t>(8 * count));
     checksum.update(bitmap_bytes, static_cast<std::size_t>(8 * words));
     if (checksum.digest() != getLe64(base + 24)) {
@@ -310,7 +309,7 @@ TraceStore::storePacked(const std::string &name,
         return false;
     }
 
-    Fnv1a checksum;
+    TraceChecksum checksum;
     updateChecksumLe(checksum, trace.pcData(), trace.size());
     updateChecksumLe(checksum, trace.wordData(), trace.wordCount());
 

@@ -8,20 +8,23 @@
  * cache directory in two sibling files keyed by benchmark name and
  * generator-spec fingerprint:
  *
- *   <name>-<fingerprint>.bbt1  the full record stream in the existing
- *                              BBT1 delta/varint format (binary_io.hh)
+ *   <name>-<fingerprint>.bbt1  the full record stream in the BBT1
+ *                              delta/varint format, version 2
+ *                              (binary_io.hh)
  *   <name>-<fingerprint>.pbt1  the PackedTrace SoA compaction in the
  *                              PBT1 raw little-endian format below
  *
  * PBT1 layout (all integers little-endian):
  *
  *   bytes 0..3    magic "PBT1"
- *   bytes 4..7    format version, u32 (currently 1)
+ *   bytes 4..7    format version, u32 (currently 3)
  *   bytes 8..15   conditional record count, u64
  *   bytes 16..23  generator-spec fingerprint, u64
- *   bytes 24..31  FNV-1a checksum of the payload, u64
+ *   bytes 24..31  TraceChecksum (codec.hh) of the pc array then the
+ *                 bitmap, u64
  *   bytes 32..63  reserved (zero)
- *   payload       pc array (count x u64) then taken bitmap
+ *   payload       pc array (count x u64), zero bytes up to the next
+ *                 64-byte file offset, then the taken bitmap
  *                 (ceil(count / 64) x u64, zero padding bits)
  *
  * The 64-byte header keeps the payload 8-byte aligned, so on a
@@ -30,12 +33,24 @@
  * big-endian hosts decode into owned arrays instead.
  *
  * Every load re-validates the fallback ladder — file present, header
- * magic/version, fingerprint, size consistency, checksum — and any
- * failure is reported as Missing/Invalid, never a termination: the
- * caller (sim/trace_cache.hh) regenerates and rewrites. The store is
- * deliberately spec-agnostic: callers pass an opaque fingerprint
- * (TraceCache hashes the serialized WorkloadSpec plus a generator
- * version salt), which keeps this layer free of workload dependencies.
+ * magic/version, fingerprint, size consistency, checksum, bitmap
+ * padding bits for PBT1; checksum, record types, early end, trailing
+ * bytes and record count for BBT1 — and any failure is reported as
+ * Missing/Invalid, never a termination: the caller
+ * (sim/trace_cache.hh) regenerates and rewrites. Older format
+ * versions (PBT1 v1/v2, BBT1 v1, all FNV-1a checksummed) are Invalid
+ * and get rewritten the same way. The word-wise checksum keeps this
+ * verification cheap enough that a warm load beats regenerating
+ * (DESIGN.md §9 has the measurements).
+ *
+ * Writes are never fatal either: a failed open, write or rename
+ * returns false with the reason, removes the temp file, and leaves
+ * any previous cached file in place.
+ *
+ * The store is deliberately spec-agnostic: callers pass an opaque
+ * fingerprint (TraceCache hashes the serialized WorkloadSpec plus a
+ * generator version salt), which keeps this layer free of workload
+ * dependencies.
  */
 
 #ifndef BPSIM_TRACE_TRACE_STORE_HH
@@ -81,7 +96,9 @@ class TraceStore
                         const std::string &extension) const;
 
     /**
-     * Loads the cached full trace into @p out.
+     * Loads the cached full trace into @p out, decoded straight into
+     * its storage (tryReadBinaryTrace()); @p out is empty unless
+     * Loaded.
      *
      * @param expectedRecords the record count the generator would
      *        produce; a mismatching file is Invalid

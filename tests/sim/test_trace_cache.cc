@@ -4,8 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "sim/trace_cache.hh"
+#include "trace/codec.hh"
 #include "trace/trace_store.hh"
 
 namespace bpsim
@@ -154,9 +156,51 @@ TEST(TraceCache, PackedLoadsStraightFromStoreWithoutFullTrace)
     EXPECT_EQ(warm.generatedCount(), 0u);
 }
 
-TEST(TraceCache, CorruptedStoreFilesRegenerateAndRewrite)
+/** Expects @p trace to hold exactly @p pristine's records. */
+void
+expectSameTrace(const MemoryTrace &trace, const MemoryTrace &pristine)
 {
-    TempStoreDir dir("cache_corrupt");
+    ASSERT_EQ(trace.size(), pristine.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        ASSERT_EQ(trace[i], pristine[i]) << "record " << i;
+}
+
+/** Expects @p packed to hold exactly the pcs and outcomes of the
+ *  conditional records of @p pristine. */
+void
+expectSamePacked(const PackedTrace &packed, const MemoryTrace &pristine)
+{
+    const PackedTrace reference(pristine);
+    ASSERT_EQ(packed.size(), reference.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+        ASSERT_EQ(packed.pc(i), reference.pc(i)) << "pc " << i;
+        ASSERT_EQ(packed.taken(i), reference.taken(i)) << "bit " << i;
+    }
+}
+
+/** Reads the u32 format version at byte 4 of @p path. */
+std::uint32_t
+fileVersion(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::uint8_t header[8] = {};
+    in.read(reinterpret_cast<char *>(header), sizeof(header));
+    return getLe32(header + 4);
+}
+
+/**
+ * Fills a store from cold, damages both cached files with
+ * @p damage(path, extension), and expects the store to heal: the
+ * next cache rejects both files, regenerates bit-identical traces
+ * and rewrites the files in the current versions, which the cache
+ * after it loads without generating.
+ */
+void
+expectStoreHeals(const std::string &dirName,
+                 void (*damage)(const std::string &path,
+                                const std::string &extension))
+{
+    TempStoreDir dir(dirName);
     const WorkloadSpec spec = tinySpec("a", 5000);
     MemoryTrace pristine;
     {
@@ -167,40 +211,95 @@ TEST(TraceCache, CorruptedStoreFilesRegenerateAndRewrite)
         cold.packedFor(spec);
     }
 
-    // Flip one payload byte in each cached file.
     const TraceStore store(dir.path());
     const std::uint64_t fp = workloadTraceFingerprint(spec);
-    for (const char *ext : {".bbt1", ".pbt1"}) {
+    std::map<std::string, std::uint32_t> versions;
+    for (const std::string ext : {".bbt1", ".pbt1"}) {
         const std::string path = store.pathFor(spec.name, fp, ext);
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        ASSERT_TRUE(f) << path;
-        char byte;
-        f.seekg(80);
-        f.read(&byte, 1);
-        byte = static_cast<char>(byte ^ 0x04);
-        f.seekp(80);
-        f.write(&byte, 1);
+        versions[ext] = fileVersion(path);
+        damage(path, ext);
     }
 
-    // The corruption must be absorbed: regenerate, serve the right
-    // data, count the rejections, and rewrite the files.
     TraceCache recovering(dir.path());
-    const MemoryTrace &regenerated = recovering.traceFor(spec);
-    recovering.packedFor(spec);
+    expectSameTrace(recovering.traceFor(spec), pristine);
+    expectSamePacked(recovering.packedFor(spec), pristine);
     EXPECT_EQ(recovering.stats().generated, 1u);
-    EXPECT_GE(recovering.stats().invalidFiles, 1u);
-    ASSERT_EQ(regenerated.size(), pristine.size());
-    for (std::size_t i = 0; i < regenerated.size(); ++i)
-        ASSERT_EQ(regenerated[i], pristine[i]) << "record " << i;
+    EXPECT_EQ(recovering.stats().invalidFiles, 2u);
+    EXPECT_EQ(recovering.stats().traceLoads, 0u);
+    EXPECT_EQ(recovering.stats().packedLoads, 0u);
+    for (const auto &[ext, version] : versions)
+        EXPECT_EQ(fileVersion(store.pathFor(spec.name, fp, ext)), version)
+            << ext;
 
     TraceCache healed(dir.path());
-    healed.traceFor(spec);
-    healed.packedFor(spec);
+    expectSameTrace(healed.traceFor(spec), pristine);
+    expectSamePacked(healed.packedFor(spec), pristine);
     EXPECT_EQ(healed.stats().generated, 0u);
     EXPECT_EQ(healed.stats().invalidFiles, 0u);
     EXPECT_EQ(healed.stats().traceLoads, 1u);
     EXPECT_EQ(healed.stats().packedLoads, 1u);
+}
+
+TEST(TraceCache, CorruptedStoreFilesRegenerateAndRewrite)
+{
+    // One flipped payload byte in each cached file.
+    expectStoreHeals("cache_corrupt",
+                     [](const std::string &path, const std::string &) {
+                         std::fstream f(path, std::ios::binary |
+                                                  std::ios::in |
+                                                  std::ios::out);
+                         ASSERT_TRUE(f) << path;
+                         char byte;
+                         f.seekg(80);
+                         f.read(&byte, 1);
+                         byte = static_cast<char>(byte ^ 0x04);
+                         f.seekp(80);
+                         f.write(&byte, 1);
+                     });
+}
+
+TEST(TraceCache, OlderFormatVersionsRegenerateAndRewrite)
+{
+    // BBT1 v1 and PBT1 v2 (FNV-1a checksums) are stale formats.
+    expectStoreHeals(
+        "cache_old_versions",
+        [](const std::string &path, const std::string &extension) {
+            std::fstream f(path,
+                           std::ios::binary | std::ios::in | std::ios::out);
+            ASSERT_TRUE(f) << path;
+            std::uint8_t version[4];
+            putLe32(version, extension == ".bbt1" ? 1 : 2);
+            f.seekp(4);
+            f.write(reinterpret_cast<const char *>(version), 4);
+        });
+}
+
+TEST(TraceCache, UnwritableStoreWarnsAndKeepsServing)
+{
+    // A store whose writes fail (temp files aimed at /dev/full) must
+    // cost only the persistence: the cache warns and still serves
+    // the generated traces.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    TempStoreDir dir("cache_dev_full");
+    const WorkloadSpec spec = tinySpec("a", 3000);
+    const TraceStore store(dir.path());
+    const std::uint64_t fp = workloadTraceFingerprint(spec);
+    for (const char *ext : {".bbt1.tmp", ".pbt1.tmp"}) {
+        std::error_code ec;
+        std::filesystem::create_symlink(
+            "/dev/full", store.pathFor(spec.name, fp, ext), ec);
+        ASSERT_FALSE(ec) << ec.message();
+    }
+
+    TraceCache cache(dir.path());
+    EXPECT_EQ(cache.traceFor(spec).size(), 3000u);
+    EXPECT_EQ(cache.packedFor(spec).size(), 3000u);
+    EXPECT_EQ(cache.stats().generated, 1u);
+    EXPECT_FALSE(std::filesystem::exists(
+        store.pathFor(spec.name, fp, ".bbt1")));
+    EXPECT_FALSE(std::filesystem::exists(
+        store.pathFor(spec.name, fp, ".pbt1")));
 }
 
 TEST(TraceCache, WritesSpecSidecarForDebugging)

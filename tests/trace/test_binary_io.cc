@@ -176,6 +176,24 @@ TEST(BinaryIoDeath, CorruptPayloadIsFatal)
                 ::testing::ExitedWithCode(1), "checksum mismatch");
 }
 
+TEST(BinaryIoDeath, OlderVersionIsFatalAndNamed)
+{
+    // Version 1 used the retired FNV-1a checksum; the reader names
+    // the version it refuses.
+    TempFile file("bbt_v1.trace");
+    const MemoryTrace original = randomTrace(100, 12);
+    auto reader = original.reader();
+    writeBinaryTrace(reader, file.path());
+    std::fstream f(file.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4);
+    const char version = 1;
+    f.write(&version, 1);
+    f.close();
+    EXPECT_EXIT(BinaryTraceReader(file.path()),
+                ::testing::ExitedWithCode(1), "unsupported BBT1 version 1");
+}
+
 /** Overwrites the low byte of the BBT1 record-count field. The
  *  payload and its checksum stay intact, so only the count/payload
  *  consistency checks can catch the mismatch. */

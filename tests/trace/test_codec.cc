@@ -104,6 +104,96 @@ TEST(Varint, EmptyBufferFails)
     EXPECT_FALSE(getVarint(nullptr, 0, offset, value));
 }
 
+/** Deterministic test bytes: 0x01, 0x08, 0x0f, ... */
+std::vector<std::uint8_t>
+patternBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i)
+        bytes[i] = static_cast<std::uint8_t>(7 * i + 1);
+    return bytes;
+}
+
+std::uint64_t
+checksumOf(const std::vector<std::uint8_t> &bytes)
+{
+    TraceChecksum checksum;
+    checksum.update(bytes.data(), bytes.size());
+    return checksum.digest();
+}
+
+TEST(TraceChecksum, EmptyDigest)
+{
+    const TraceChecksum fresh;
+    EXPECT_EQ(fresh.digest(), 0x6dabb4e20069a5b5ULL);
+    // A zero-length update is not data.
+    TraceChecksum updated;
+    const std::uint8_t byte = 0;
+    updated.update(&byte, 0);
+    EXPECT_EQ(updated.digest(), fresh.digest());
+}
+
+TEST(TraceChecksum, IncrementalMatchesOneShotAtEverySplit)
+{
+    // Lengths 0..100 cross the 8-byte word and 32-byte block
+    // boundaries; every split point must give the one-shot digest,
+    // and so must byte-at-a-time feeding.
+    for (std::size_t len = 0; len <= 100; ++len) {
+        const std::vector<std::uint8_t> bytes = patternBytes(len);
+        const std::uint64_t whole = checksumOf(bytes);
+        for (std::size_t split = 0; split <= len; ++split) {
+            TraceChecksum parts;
+            parts.update(bytes.data(), split);
+            parts.update(bytes.data() + split, len - split);
+            ASSERT_EQ(parts.digest(), whole)
+                << "len " << len << " split " << split;
+        }
+        TraceChecksum bytewise;
+        for (std::size_t i = 0; i < len; ++i)
+            bytewise.update(bytes.data() + i, 1);
+        ASSERT_EQ(bytewise.digest(), whole) << "len " << len;
+    }
+}
+
+TEST(TraceChecksum, DigestDoesNotEndTheStream)
+{
+    const std::vector<std::uint8_t> bytes = patternBytes(77);
+    TraceChecksum checksum;
+    checksum.update(bytes.data(), 40);
+    checksum.digest();
+    checksum.update(bytes.data() + 40, 37);
+    EXPECT_EQ(checksum.digest(), checksumOf(bytes));
+}
+
+TEST(TraceChecksum, EveryByteFlipAndZeroAppendChangeTheDigest)
+{
+    for (std::size_t len = 0; len <= 100; ++len) {
+        const std::vector<std::uint8_t> bytes = patternBytes(len);
+        const std::uint64_t original = checksumOf(bytes);
+        for (std::size_t i = 0; i < len; ++i) {
+            for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+                std::vector<std::uint8_t> flipped = bytes;
+                flipped[i] ^= mask;
+                ASSERT_NE(checksumOf(flipped), original)
+                    << "len " << len << " byte " << i << " mask "
+                    << int{mask};
+            }
+        }
+        std::vector<std::uint8_t> extended = bytes;
+        extended.push_back(0);
+        ASSERT_NE(checksumOf(extended), original) << "len " << len;
+    }
+}
+
+TEST(TraceChecksum, KnownVectors)
+{
+    // Pinned digests: the BBT1 v2 and PBT1 v3 files on disk carry
+    // this function's output, so any change to it must come with a
+    // format version bump.
+    EXPECT_EQ(checksumOf(patternBytes(1)), 0xd17af932a6c2527dULL);
+    EXPECT_EQ(checksumOf(patternBytes(100)), 0x74bb89d95167649eULL);
+}
+
 TEST(Fnv1a, EmptyDigestIsOffsetBasis)
 {
     Fnv1a hash;

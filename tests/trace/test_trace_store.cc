@@ -357,7 +357,7 @@ TEST(TraceStore, NonzeroPaddingBitsAreInvalid)
     std::uint8_t bitmap_bytes[8];
     putLe64(pc_bytes, 0x4000);
     putLe64(bitmap_bytes, 0b110); // bit 0 clear, padding bits 1..2 set
-    Fnv1a checksum;
+    TraceChecksum checksum;
     checksum.update(pc_bytes, sizeof(pc_bytes));
     checksum.update(bitmap_bytes, sizeof(bitmap_bytes));
 
@@ -366,12 +366,12 @@ TEST(TraceStore, NonzeroPaddingBitsAreInvalid)
     header[1] = 'B';
     header[2] = 'T';
     header[3] = '1';
-    putLe32(header + 4, 2);
+    putLe32(header + 4, 3);
     putLe64(header + 8, 1);
     putLe64(header + 16, kFp);
     putLe64(header + 24, checksum.digest());
 
-    // Layout per PBT1 v2: one pc word after the header, then a zero
+    // Layout per PBT1 v3: one pc word after the header, then a zero
     // gap up to the bitmap's 64-byte-aligned offset (128).
     const char gap[64 - sizeof(pc_bytes)] = {};
     std::ofstream out(path, std::ios::binary);
@@ -388,6 +388,78 @@ TEST(TraceStore, NonzeroPaddingBitsAreInvalid)
     EXPECT_EQ(store.loadPacked("gcc", kFp, loaded, why),
               StoreStatus::Invalid);
     EXPECT_NE(why.find("padding"), std::string::npos) << why;
+}
+
+/** Overwrites the u32 format version at byte 4 of @p path. */
+void
+patchVersion(const std::string &path, std::uint32_t version)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f) << path;
+    std::uint8_t bytes[4];
+    putLe32(bytes, version);
+    f.seekp(4);
+    f.write(reinterpret_cast<const char *>(bytes), 4);
+}
+
+TEST(TraceStore, OlderBbtVersionIsInvalid)
+{
+    // BBT1 v1 carried an FNV-1a checksum; there is no reader for it.
+    TempStoreDir dir("store_bbt_v1");
+    TraceStore store(dir.path());
+    std::string why;
+    ASSERT_TRUE(store.storeTrace("gcc", kFp, randomTrace(100, 12), why))
+        << why;
+    patchVersion(store.pathFor("gcc", kFp, ".bbt1"), 1);
+
+    MemoryTrace out;
+    EXPECT_EQ(store.loadTrace("gcc", kFp, 100, out, why),
+              StoreStatus::Invalid);
+    EXPECT_NE(why.find("unsupported BBT1 version 1"), std::string::npos)
+        << why;
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(TraceStore, OlderPackedVersionIsInvalid)
+{
+    // PBT1 v2 carried an FNV-1a checksum; there is no reader for it.
+    expectPackedInvalid(
+        "store_pbt_v2",
+        [](const std::string &path) { patchVersion(path, 2); },
+        "unsupported PBT1 version 2");
+}
+
+TEST(TraceStore, WriteErrorsAreReportedNotFatal)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    TempStoreDir dir("store_dev_full");
+    TraceStore store(dir.path());
+    const MemoryTrace trace = randomTrace(500, 13);
+    const PackedTrace packed(trace);
+
+    // Each store writes its temp file first; aimed at /dev/full, where
+    // every write fails (ENOSPC), the store must report it, drop the
+    // temp file (the link, never its target) and leave no cached file
+    // behind.
+    for (const std::string ext : {".bbt1", ".pbt1"}) {
+        const std::string path = store.pathFor("gcc", kFp, ext);
+        std::filesystem::create_symlink("/dev/full", path + ".tmp");
+        std::string why;
+        const bool stored = ext == ".bbt1"
+                                ? store.storeTrace("gcc", kFp, trace, why)
+                                : store.storePacked("gcc", kFp, packed, why);
+        EXPECT_FALSE(stored) << ext;
+        EXPECT_NE(why.find("I/O error"), std::string::npos) << why;
+        EXPECT_FALSE(std::filesystem::is_symlink(path + ".tmp")) << ext;
+        EXPECT_FALSE(std::filesystem::exists(path)) << ext;
+    }
+    EXPECT_TRUE(std::filesystem::exists("/dev/full"));
+
+    // With the links gone, the same store writes normally again.
+    std::string why;
+    EXPECT_TRUE(store.storeTrace("gcc", kFp, trace, why)) << why;
+    EXPECT_TRUE(store.storePacked("gcc", kFp, packed, why)) << why;
 }
 
 TEST(TraceStore, StemSanitizesHostileNames)

@@ -102,22 +102,11 @@ class BiModePredictor : public FastPredictorBase<BiModePredictor>
             pcIndexBits(pc, cfg.choiceIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        std::size_t choice_index, direction_index;
-        indicesFor(pc, choice_index, direction_index);
-        const std::uint32_t bank = choice.predictTaken(choice_index)
-            ? kTakenBank : kNotTakenBank;
-        return banks[bank].predictTaken(direction_index);
-    }
-
     /**
      * Fused hot path: predict and update sharing one set of table
-     * lookups. Returns the prediction predictFast() would have made
-     * immediately before updateFast(); the state transition is
-     * identical to predict-then-update.
+     * lookups. Returns detailFast().taken as of immediately before
+     * updateFast(); the state transition is identical to
+     * predict-then-update.
      */
     bool
     stepFast(std::uint64_t pc, bool taken)

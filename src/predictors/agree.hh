@@ -52,18 +52,6 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        const std::size_t bias_index = biasIndexFor(pc);
-        // An unseen branch has no bias yet; treat the bias as taken
-        // (matching the counters' weakly-taken start).
-        const bool bias =
-            biasValid[bias_index] ? biasBit[bias_index] != 0 : true;
-        return counters.predictTaken(counterIndexFor(pc)) == bias;
-    }
-
     /** Devirtualized hot path: the state transition of update(). */
     void
     updateFast(std::uint64_t pc, bool taken)
@@ -80,10 +68,11 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
     }
 
     /** Fused hot path: predict + update sharing one set of lookups;
-     *  bit-identical to predictFast() then updateFast(). The
+     *  bit-identical to detailFast().taken then updateFast(). The
      *  prediction uses the pre-update bias (default taken for an
-     *  unseen branch); the counter trains against the post-capture
-     *  bias, exactly as the split path does. */
+     *  unseen branch, matching the counters' weakly-taken start);
+     *  the counter trains against the post-capture bias, exactly as
+     *  the split path does. */
     bool
     stepFast(std::uint64_t pc, bool taken)
     {

@@ -7,7 +7,6 @@
  * fastReplay) implements a non-virtual core —
  *
  *   PredictionDetail detailFast(pc) const   full-provenance predict
- *   bool predictFast(pc) const              direction only
  *   void updateFast(pc, taken)              state transition
  *   bool stepFast(pc, taken)                fused predict+update
  *   void resetFast()                        power-on state
@@ -18,6 +17,10 @@
  * code by construction: the bit-identity contract between
  * simulate() and replayKernel() cannot drift because there is no
  * second implementation to drift.
+ *
+ * Bimodal, gshare and tournament also keep a direction-only
+ * predictFast(pc): tournament's updateFast() and stepFast() predict
+ * through it and their components'.
  *
  * The overrides are final: a predictor that needs different virtual
  * behaviour than its fast core has, by definition, no fast core and

@@ -79,16 +79,6 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
             pcIndexBits(pc, cfg.filterIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        const FilterEntry &entry = filter[filterIndexFor(pc)];
-        if (entry.runLength == runSaturation)
-            return entry.direction != 0;
-        return pht.predictTaken(phtIndexFor(pc));
-    }
-
     /** Devirtualized hot path: the state transition of update(). */
     void
     updateFast(std::uint64_t pc, bool taken)
@@ -98,8 +88,8 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
 
     /**
      * Fused hot path: predict + update sharing the filter-entry
-     * lookup and one PHT index; bit-identical to predictFast() then
-     * updateFast(). A filtered branch bypasses the PHT on both
+     * lookup and one PHT index; bit-identical to detailFast().taken
+     * then updateFast(). A filtered branch bypasses the PHT on both
      * sides, so the fused path touches the PHT at most once.
      */
     bool

@@ -73,20 +73,8 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
             bankHash(bank, address, history.value(), cfg.bankIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        std::size_t indices[3];
-        indicesFor(pc, indices);
-        const int votes = static_cast<int>(banks[0].predictTaken(indices[0])) +
-                          static_cast<int>(banks[1].predictTaken(indices[1])) +
-                          static_cast<int>(banks[2].predictTaken(indices[2]));
-        return votes >= 2;
-    }
-
     /** Fused hot path: predict + update sharing one set of bank
-     *  hashes and lookups; bit-identical to predictFast() then
+     *  hashes and lookups; bit-identical to detailFast().taken then
      *  updateFast(). */
     bool
     stepFast(std::uint64_t pc, bool taken)

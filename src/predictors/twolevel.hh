@@ -76,15 +76,6 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
             (pht << cfg.historyBits) | history);
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. The scope
-     *  branch is perfectly predictable (fixed per instance), so one
-     *  generic core serves all four taxonomy points. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        return counters.predictTaken(indexFor(pc));
-    }
-
     /** Devirtualized hot path: the state transition of update(). */
     void
     updateFast(std::uint64_t pc, bool taken)
@@ -94,7 +85,10 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
     }
 
     /** Fused hot path: predict + update sharing one second-level
-     *  index; bit-identical to predictFast() then updateFast(). */
+     *  index; bit-identical to detailFast().taken then updateFast().
+     *  The scope branch is perfectly predictable (fixed per
+     *  instance), so one generic core serves all four taxonomy
+     *  points. */
     bool
     stepFast(std::uint64_t pc, bool taken)
     {

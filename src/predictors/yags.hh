@@ -59,14 +59,8 @@ class YagsPredictor : public FastPredictorBase<YagsPredictor>
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
-    bool predictFast(std::uint64_t pc) const
-    {
-        return lookupFor(pc).prediction;
-    }
-
     /** Fused hot path: predict + update sharing one lookupFor();
-     *  bit-identical to predictFast() then updateFast(). */
+     *  bit-identical to detailFast().taken then updateFast(). */
     bool
     stepFast(std::uint64_t pc, bool taken)
     {

@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/probe.hh"
@@ -68,9 +69,71 @@ countTakenInRange(const PackedTrace &packed, std::size_t from,
     return taken;
 }
 
+/** Trains @p predictor on trace positions [from, to) without
+ *  scoring them, streaming the taken bitmap one 64-branch word at a
+ *  time. */
+template <typename Pred>
+inline void
+trainRange(Pred &predictor, const PackedTrace &packed, std::size_t from,
+           std::size_t to)
+{
+    const std::uint64_t *pcs = packed.pcData();
+    for (std::size_t i = from; i < to;) {
+        const std::size_t word_index = i / PackedTrace::kWordBits;
+        const std::size_t word_end =
+            std::min(to, (word_index + 1) * PackedTrace::kWordBits);
+        std::uint64_t word =
+            packed.takenWord(word_index) >> (i % PackedTrace::kWordBits);
+        for (; i < word_end; ++i, word >>= 1)
+            predictor.updateFast(pcs[i], (word & 1) != 0);
+    }
+}
+
+/** Predicts, scores and trains trace positions [from, to) with one
+ *  stepFast() each, shifting outcomes out of a register instead of
+ *  re-indexing the bitmap per branch; @p probe sees every branch.
+ *  Returns the mispredictions. */
+template <typename Pred, typename Probe>
+inline std::uint64_t
+stepRange(Pred &predictor, const PackedTrace &packed, std::size_t from,
+          std::size_t to, Probe probe)
+{
+    const std::uint64_t *pcs = packed.pcData();
+    std::uint64_t missed = 0;
+    for (std::size_t i = from; i < to;) {
+        const std::size_t word_index = i / PackedTrace::kWordBits;
+        const std::size_t word_end =
+            std::min(to, (word_index + 1) * PackedTrace::kWordBits);
+        std::uint64_t word =
+            packed.takenWord(word_index) >> (i % PackedTrace::kWordBits);
+        for (; i < word_end; ++i, word >>= 1) {
+            const bool taken = (word & 1) != 0;
+            const bool mispredicted =
+                predictor.stepFast(pcs[i], taken) != taken;
+            missed += static_cast<std::uint64_t>(mispredicted);
+            probe.record(i, mispredicted);
+        }
+    }
+    return missed;
+}
+
+namespace detail
+{
+
+inline std::uint64_t
+elapsedNanos(std::chrono::steady_clock::time_point start)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
+} // namespace detail
+
 /**
  * Replays @p packed through @p predictor using its non-virtual
- * predictFast()/updateFast() methods.
+ * updateFast()/stepFast() methods.
  *
  * @tparam Pred a concrete predictor type providing
  *         `void updateFast(std::uint64_t pc, bool taken)` (the state
@@ -95,50 +158,142 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
     result.storageBits = predictor.storageBits();
 
     const std::size_t total = packed.size();
-    const std::uint64_t *pcs = packed.pcData();
     const std::size_t warmup = static_cast<std::size_t>(
         std::min<std::uint64_t>(config.warmupBranches, total));
 
-    const auto start = std::chrono::steady_clock::now();
-
     // Warm-up records train the predictor but are excluded from the
     // statistics. Predictions are side-effect-free, so skipping them
-    // here leaves the predictor in the same state as the virtual loop.
-    for (std::size_t i = 0; i < warmup; ++i)
-        predictor.updateFast(pcs[i], packed.taken(i));
-
-    // Measured region: stream the taken bitmap one 64-branch word at
-    // a time, shifting outcomes out of a register instead of
-    // re-indexing the bitmap per branch.
-    std::uint64_t mispredictions = 0;
-    std::uint64_t taken_branches = 0;
-    std::size_t i = warmup;
-    while (i < total) {
-        const std::size_t word_index = i / PackedTrace::kWordBits;
-        const std::size_t word_end = std::min(
-            total, (word_index + 1) * PackedTrace::kWordBits);
-        std::uint64_t word =
-            packed.takenWord(word_index) >> (i % PackedTrace::kWordBits);
-        for (; i < word_end; ++i, word >>= 1) {
-            const std::uint64_t pc = pcs[i];
-            const bool taken = (word & 1) != 0;
-            const bool mispredicted =
-                predictor.stepFast(pc, taken) != taken;
-            mispredictions += static_cast<std::uint64_t>(mispredicted);
-            taken_branches += static_cast<std::uint64_t>(taken);
-            probe.record(i, mispredicted);
-        }
-    }
-
-    result.wallNanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    // leaves the predictor in the same state as the virtual loop.
+    const auto start = std::chrono::steady_clock::now();
+    trainRange(predictor, packed, 0, warmup);
+    result.mispredictions =
+        stepRange(predictor, packed, warmup, total, probe);
+    result.wallNanos = detail::elapsedNanos(start);
     result.branches = total - warmup;
-    result.mispredictions = mispredictions;
-    result.takenBranches = taken_branches;
+    result.takenBranches = countTakenInRange(packed, warmup, total);
     return result;
 }
+
+namespace detail
+{
+
+/**
+ * The vectorized tiers of replayKernelBank(): flattens @p bank into
+ * SoA lane state and steps 4/8/16 lanes per instruction (sim/simd/).
+ * Bit-identity with the scalar bank holds by construction — lanes
+ * are the vector axis, branches stay serial (see simd_kernel.hh) —
+ * and is enforced per tier by tests/sim/test_replay_bank.cc.
+ *
+ * @return false, with the reason logged once per process and the
+ *         bank untouched, when the kind, the bank's shape, its
+ *         per-branch probe arena or the tier cannot run here; the
+ *         caller then runs the scalar bank. On true, @p nanos holds
+ *         the runSimdBank() time alone.
+ */
+template <typename Pred, typename BankProbe>
+bool
+replaySimdBank(std::vector<Pred> &bank, const PackedTrace &packed,
+               std::size_t warmup, KernelTier tier, BankProbe probe,
+               std::uint64_t *mispredictions, std::uint64_t &nanos)
+{
+    if constexpr (!kSimdFlattenable<Pred>) {
+        logSimdBankFallback(bank.front().name(),
+                            "kind has no SIMD flattening");
+        return false;
+    } else {
+        std::optional<SimdBankState> simd = buildSimdBank(bank);
+        if (!simd)
+            return false;
+        // Probed runs need the per-lane uint32 misprediction arena on
+        // top of the counter arenas.
+        SimdBankProbe simd_probe;
+        SimdBankProbe *probe_ptr = nullptr;
+        if constexpr (BankProbe::kEnabled) {
+            if (!buildSimdBankProbe(simd_probe, probe.ids,
+                                    probe.staticCount, *simd,
+                                    packed.size())) {
+                logSimdBankFallback(
+                    bank.front().name(),
+                    "per-branch probe arena exceeds the 32-bit sink");
+                return false;
+            }
+            probe_ptr = &simd_probe;
+        }
+        const auto start = std::chrono::steady_clock::now();
+        if (!runSimdBank(*simd, tier, packed.pcData(), packed.wordData(),
+                         packed.size(), warmup, probe_ptr)) {
+            // Resolution checks availability, so this shouldn't
+            // happen; the scalar bank is always a correct answer.
+            logSimdBankFallback(
+                bank.front().name(),
+                "resolved tier has no backend in this binary");
+            return false;
+        }
+        nanos = elapsedNanos(start);
+        storeSimdBank(*simd, bank);
+        std::copy(simd->mispredictions.begin(),
+                  simd->mispredictions.end(), mispredictions);
+        if constexpr (BankProbe::kEnabled) {
+            // Widen the pass's uint32 counters into the probe's
+            // per-lane uint64 blocks.
+            for (std::size_t l = 0; l < bank.size(); ++l) {
+                const std::uint32_t *src =
+                    simd_probe.arena.data() + simd_probe.laneBase[l];
+                std::uint64_t *dst = probe.lane(l).misses;
+                for (std::size_t k = 0; k < simd_probe.staticCount; ++k)
+                    dst[k] += src[k];
+            }
+        }
+        return true;
+    }
+}
+
+/**
+ * The scalar bank: steps every lane's predictor object in place and
+ * returns the pass's wall time.
+ *
+ * Lane-major within blocks: the trace is still streamed once (each
+ * block's pcs and taken words are L1-hot while every lane consumes
+ * them), but each lane runs a whole block before the next lane is
+ * touched. Branch-major order would force every lane's hot state
+ * (history register, table base pointer) back through memory on each
+ * branch — the stores of the other lanes' steps could alias them;
+ * lane-major keeps that state in registers for a whole block, which
+ * is where the fused path's speedup over per-job passes comes from.
+ * Lanes are independent, so reordering steps across lanes cannot
+ * change any lane's result.
+ */
+template <typename Pred, typename BankProbe>
+std::uint64_t
+replayScalarBank(std::vector<Pred> &bank, const PackedTrace &packed,
+                 std::size_t warmup, BankProbe probe,
+                 std::uint64_t *mispredictions)
+{
+    // Blocks span several bitmap words so each lane turn amortizes
+    // its state reload; a block still fits comfortably in L1 (512
+    // pcs = 4 KiB plus the bitmap words). The warm-up boundary ends
+    // a block.
+    constexpr std::size_t kBlockBranches = 8 * PackedTrace::kWordBits;
+    const std::size_t total = packed.size();
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < total;) {
+        const std::size_t end =
+            std::min(i < warmup ? warmup : total,
+                     (i / kBlockBranches + 1) * kBlockBranches);
+        for (std::size_t l = 0; l < bank.size(); ++l) {
+            if (i < warmup) {
+                trainRange(bank[l], packed, i, end);
+            } else {
+                mispredictions[l] +=
+                    stepRange(bank[l], packed, i, end, probe.lane(l));
+            }
+        }
+        i = end;
+    }
+    return elapsedNanos(start);
+}
+
+} // namespace detail
 
 /**
  * Banked multi-configuration replay: one trace pass drives a whole
@@ -148,18 +303,17 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
  * configurations over one trace" — a size ladder or an exhaustive
  * history sweep replays the identical packed pc array and taken
  * bitmap once per rung. replayKernelBank() eliminates that
- * redundancy: the trace is streamed a single time in 64-branch
- * blocks, each block's pcs and outcome word feeding every instance
+ * redundancy: the trace is streamed a single time in 512-branch
+ * blocks, each block's pcs and outcome words feeding every instance
  * in the bank while they are L1-hot, regardless of how many
- * configurations ride along. Within a block the lanes run
- * lane-major (see the loop comment below), so each lane's hot state
- * lives in registers for the whole block.
+ * configurations ride along. On a vector tier the bank is flattened
+ * and stepped lane-parallel instead (detail::replaySimdBank()).
  *
  * Bit-identity contract: lane i of replayKernelBank(bank, packed,
  * config) must produce exactly the counts of replayKernel(bank[i],
  * packed, config) run alone, and leave bank[i] in the identical
  * state. This holds by construction — each lane runs the same
- * stepFast()/updateFast() sequence it would run alone — and is
+ * trainRange()/stepRange() sequence it would run alone — and is
  * enforced for every fast-replay kind by
  * tests/sim/test_replay_bank.cc.
  *
@@ -173,7 +327,7 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
  *         arena (SimdBankProbe) merged into the bank probe's uint64
  *         blocks after the pass; shapes the 32-bit sink cannot
  *         express run the probed scalar bank instead (logged once
- *         per process, detail::logProbedBankFallback()).
+ *         per process, detail::logSimdBankFallback()).
  */
 template <typename Pred, typename BankProbe = NullBankProbe>
 std::vector<SimResult>
@@ -191,209 +345,37 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
                                   probe.lane(0));
         return results;
     }
+
+    const std::size_t total = packed.size();
+    const std::size_t warmup = static_cast<std::size_t>(
+        std::min<std::uint64_t>(config.warmupBranches, total));
+    std::vector<std::uint64_t> mispredictions(lanes, 0);
+    std::uint64_t nanos = 0;
+    KernelTier tier = resolveKernelTier(config.kernelTier);
+    if (tier != KernelTier::Scalar &&
+        !detail::replaySimdBank(bank, packed, warmup, tier, probe,
+                                mispredictions.data(), nanos))
+        tier = KernelTier::Scalar;
+    if (tier == KernelTier::Scalar) {
+        nanos = detail::replayScalarBank(bank, packed, warmup, probe,
+                                         mispredictions.data());
+    }
+
+    const std::uint64_t taken_branches =
+        countTakenInRange(packed, warmup, total);
     for (std::size_t l = 0; l < lanes; ++l) {
         results[l].predictorName = bank[l].name();
         results[l].counterBits = bank[l].counterBits();
         results[l].storageBits = bank[l].storageBits();
-    }
-
-    const std::size_t total = packed.size();
-    const std::uint64_t *pcs = packed.pcData();
-    const std::size_t warmup = static_cast<std::size_t>(
-        std::min<std::uint64_t>(config.warmupBranches, total));
-
-    // Vectorized tiers: flatten the bank into SoA lane state and
-    // step 4/8/16 lanes per instruction (sim/simd/). Bit-identity
-    // with the scalar loop below holds by construction — lanes are
-    // the vector axis, branches stay serial (see simd_kernel.hh) —
-    // and is enforced per tier by tests/sim/test_replay_bank.cc.
-    // Banks the flattening cannot express (ineligible kind, oversize
-    // arena) fall through to the scalar loop.
-    const KernelTier tier = resolveKernelTier(config.kernelTier);
-    if (tier != KernelTier::Scalar) {
-        if (std::optional<SimdBankState> simd = buildSimdBank(bank)) {
-            // Probed runs need the per-lane uint32 misprediction
-            // arena on top of the counter arenas; shapes it cannot
-            // express (overlong trace, oversize probe arena) fall
-            // through to the probed scalar bank.
-            SimdBankProbe simdProbe;
-            SimdBankProbe *probePtr = nullptr;
-            bool probeReady = true;
-            if constexpr (BankProbe::kEnabled) {
-                if (buildSimdBankProbe(simdProbe, probe.ids,
-                                       probe.staticCount, *simd,
-                                       total)) {
-                    probePtr = &simdProbe;
-                } else {
-                    probeReady = false;
-                    detail::logProbedBankFallback(
-                        bank.front().name(),
-                        "per-branch probe arena exceeds the 32-bit "
-                        "sink");
-                }
-            }
-            const auto simd_start = std::chrono::steady_clock::now();
-            if (probeReady &&
-                runSimdBank(*simd, tier, pcs, packed.wordData(), total,
-                            warmup, probePtr)) {
-                const std::uint64_t simd_nanos =
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() -
-                            simd_start)
-                            .count());
-                storeSimdBank(*simd, bank);
-                if constexpr (BankProbe::kEnabled) {
-                    // Widen the pass's uint32 counters into the
-                    // probe's per-lane uint64 blocks.
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                        const std::uint32_t *src =
-                            simdProbe.arena.data() +
-                            simdProbe.laneBase[l];
-                        std::uint64_t *dst =
-                            probe.lane(l).misses;
-                        for (std::size_t k = 0;
-                             k < simdProbe.staticCount; ++k)
-                            dst[k] += src[k];
-                    }
-                }
-                const std::uint64_t taken_branches =
-                    countTakenInRange(packed, warmup, total);
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    results[l].branches = total - warmup;
-                    results[l].mispredictions =
-                        simd->mispredictions[l];
-                    results[l].takenBranches = taken_branches;
-                    results[l].wallNanos =
-                        (simd_nanos + lanes / 2) / lanes;
-                    results[l].fusedLanes =
-                        static_cast<std::uint32_t>(lanes);
-                    results[l].kernelTier = tier;
-                }
-                return results;
-            }
-            if (probeReady) {
-                // The resolved tier has no backend in this binary
-                // (shouldn't happen — resolution checks
-                // availability); the scalar loop below is always a
-                // correct answer.
-                detail::logSimdBankFallback(
-                    bank.front().name(),
-                    "resolved tier has no backend in this binary");
-                if constexpr (BankProbe::kEnabled) {
-                    detail::logProbedBankFallback(
-                        bank.front().name(),
-                        "resolved tier has no backend in this binary");
-                }
-            }
-        } else if constexpr (BankProbe::kEnabled) {
-            // buildSimdBank() already logged the generic fallback;
-            // mirror it on the probed channel so per-branch users
-            // see which path produced their counts.
-            detail::logProbedBankFallback(
-                bank.front().name(),
-                "bank shape has no SIMD flattening");
-        }
-    }
-
-    Pred *lane = bank.data();
-    std::vector<std::uint64_t> lane_mispredictions(lanes, 0);
-    std::uint64_t *mispredictions = lane_mispredictions.data();
-
-    const auto start = std::chrono::steady_clock::now();
-
-    // Lane-major within 64-branch blocks: the trace is still streamed
-    // once (each block's pcs and taken word are L1-hot while every
-    // lane consumes them), but each lane runs a whole block before
-    // the next lane is touched. Branch-major order would force every
-    // lane's hot state (history register, table base pointer) back
-    // through memory on each branch — the stores of the other lanes'
-    // steps could alias them; lane-major keeps that state in
-    // registers for 64 consecutive steps, which is where the fused
-    // path's speedup over per-job passes comes from. Lanes are
-    // independent, so reordering steps across lanes cannot change any
-    // lane's result.
-    std::size_t i = 0;
-    while (i < warmup) {
-        const std::size_t word_index = i / PackedTrace::kWordBits;
-        const std::size_t block_end = std::min(
-            warmup, (word_index + 1) * PackedTrace::kWordBits);
-        const std::uint64_t block_word =
-            packed.takenWord(word_index) >> (i % PackedTrace::kWordBits);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            std::uint64_t word = block_word;
-            for (std::size_t j = i; j < block_end; ++j, word >>= 1)
-                lane[l].updateFast(pcs[j], (word & 1) != 0);
-        }
-        i = block_end;
-    }
-
-    // Measured-region blocks span several bitmap words so each lane
-    // turn covers enough branches to amortize its state reload; the
-    // block still fits comfortably in L1 (kBlockWords * 64 pcs = 4 KiB
-    // plus the bitmap words).
-    constexpr std::size_t kBlockWords = 8;
-    constexpr std::size_t kBlockBranches =
-        kBlockWords * PackedTrace::kWordBits;
-    std::uint64_t taken_branches = 0;
-    while (i < total) {
-        const std::size_t block_end =
-            std::min(total, (i / kBlockBranches + 1) * kBlockBranches);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const auto laneProbe = probe.lane(l);
-            std::uint64_t missed = 0;
-            std::size_t j = i;
-            while (j < block_end) {
-                const std::size_t word_index = j / PackedTrace::kWordBits;
-                const std::size_t word_end = std::min(
-                    block_end,
-                    (word_index + 1) * PackedTrace::kWordBits);
-                std::uint64_t word = packed.takenWord(word_index) >>
-                                     (j % PackedTrace::kWordBits);
-                for (; j < word_end; ++j, word >>= 1) {
-                    const bool taken = (word & 1) != 0;
-                    const bool mispredicted =
-                        lane[l].stepFast(pcs[j], taken) != taken;
-                    missed += static_cast<std::uint64_t>(mispredicted);
-                    laneProbe.record(j, mispredicted);
-                }
-            }
-            mispredictions[l] += missed;
-        }
-        // The block's taken count is lane-independent: popcount of
-        // the bitmap span actually consumed.
-        for (std::size_t j = i; j < block_end;) {
-            const std::size_t word_index = j / PackedTrace::kWordBits;
-            const std::size_t word_end = std::min(
-                block_end, (word_index + 1) * PackedTrace::kWordBits);
-            const std::uint64_t word = packed.takenWord(word_index) >>
-                                       (j % PackedTrace::kWordBits);
-            const std::size_t consumed = word_end - j;
-            const std::uint64_t mask =
-                consumed >= 64 ? ~std::uint64_t{0}
-                               : (std::uint64_t{1} << consumed) - 1;
-            taken_branches += static_cast<std::uint64_t>(
-                std::popcount(word & mask));
-            j = word_end;
-        }
-        i = block_end;
-    }
-
-    const std::uint64_t bank_nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    for (std::size_t l = 0; l < lanes; ++l) {
         results[l].branches = total - warmup;
-        results[l].mispredictions = lane_mispredictions[l];
+        results[l].mispredictions = mispredictions[l];
         results[l].takenBranches = taken_branches;
         // Round the per-lane attribution so the reconstructed pass
         // time is off by at most lanes/2 ns instead of always
         // truncating low.
-        results[l].wallNanos = (bank_nanos + lanes / 2) / lanes;
+        results[l].wallNanos = (nanos + lanes / 2) / lanes;
         results[l].fusedLanes = static_cast<std::uint32_t>(lanes);
-        results[l].kernelTier = KernelTier::Scalar;
+        results[l].kernelTier = tier;
     }
     return results;
 }

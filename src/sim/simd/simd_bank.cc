@@ -1,6 +1,7 @@
 #include "sim/simd/simd_bank.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <mutex>
@@ -30,226 +31,726 @@ namespace
 constexpr std::uint64_t kMaxArenaElements =
     static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
 
-/** Arena elements the stagger gaps add for a bank of @p lanes. */
-std::uint64_t
-staggerElements(std::size_t lanes)
-{
-    return static_cast<std::uint64_t>(lanes) * kSimdLaneStagger;
-}
-
 std::uint32_t
 mask32(unsigned bits)
 {
     return static_cast<std::uint32_t>(maskBits(bits));
 }
 
-/**
- * Sizes the shared per-lane arrays of @p state for @p lanes lanes
- * (padded to the widest group, see SimdBankState) and zero-fills
- * them. Lane constants are filled by the per-kind builders; the
- * padding replication happens afterwards in padLanes().
- */
-void
-initLaneArrays(SimdBankState &state, std::size_t lanes)
+/** Every per-lane array of SimdBankState, sized and padded as one. */
+std::array<std::vector<std::uint32_t> *, 28>
+laneArrays(SimdBankState &s)
 {
-    state.lanes = lanes;
-    const std::size_t padded =
-        (lanes + kMaxSimdGroupLanes - 1) / kMaxSimdGroupLanes *
-        kMaxSimdGroupLanes;
-    for (auto *array :
-         {&state.laneBase, &state.addrMask, &state.histShift,
-          &state.histMask, &state.localBase, &state.localMask,
-          &state.maxValue, &state.threshold, &state.wordShift,
-          &state.slotIdxMask, &state.slotShift, &state.fieldMask,
-          &state.choiceBase, &state.choiceAddrMask,
-          &state.choiceMaxValue, &state.choiceThreshold,
-          &state.bankStride, &state.alwaysChoiceMask,
-          &state.bothBanksMask, &state.auxBase, &state.auxAddrMask,
-          &state.auxMaxValue, &state.auxThreshold, &state.tagShift,
-          &state.tagMask, &state.hashFieldMask, &state.foldShift,
-          &state.hist}) {
-        array->assign(padded, 0);
-    }
-    state.mispredictions.assign(lanes, 0);
-}
-
-/** Replicates lane 0's constants into the padding lanes so padded
- *  vector slots execute a valid (discarded) lane. */
-void
-padLanes(SimdBankState &state)
-{
-    for (auto *array :
-         {&state.laneBase, &state.addrMask, &state.histShift,
-          &state.histMask, &state.localBase, &state.localMask,
-          &state.maxValue, &state.threshold, &state.wordShift,
-          &state.slotIdxMask, &state.slotShift, &state.fieldMask,
-          &state.choiceBase, &state.choiceAddrMask,
-          &state.choiceMaxValue, &state.choiceThreshold,
-          &state.bankStride, &state.alwaysChoiceMask,
-          &state.bothBanksMask, &state.auxBase, &state.auxAddrMask,
-          &state.auxMaxValue, &state.auxThreshold, &state.tagShift,
-          &state.tagMask, &state.hashFieldMask, &state.foldShift,
-          &state.hist}) {
-        std::fill(array->begin() + state.lanes, array->end(),
-                  array->front());
-    }
-}
-
-/** Appends @p table's counters to the shared arena after a
- *  kSimdLaneStagger gap, recording the lane's base offset and
- *  counter constants. Packs into bit slots or widens one counter
- *  per word according to state.packed. */
-void
-appendCounters(SimdBankState &state, std::size_t lane,
-               const CounterTable &table)
-{
-    state.maxValue[lane] = table.max();
-    state.threshold[lane] = table.max() / 2;
-    state.counters.resize(state.counters.size() + kSimdLaneStagger, 0);
-    state.laneBase[lane] =
-        static_cast<std::uint32_t>(state.counters.size());
-    if (!state.packed) {
-        state.counters.insert(state.counters.end(), table.data(),
-                              table.data() + table.size());
-        return;
-    }
-    // Slot width is the power of two >= the counter width (1..8
-    // bits), so slot boundaries follow from plain shift/mask math and
-    // a word always holds 4, 8, 16 or 32 whole counters.
-    const unsigned slotLog2 = log2Ceil(table.bits());
-    const unsigned perWordLog2 = 5 - slotLog2;
-    state.wordShift[lane] = perWordLog2;
-    state.slotIdxMask[lane] = mask32(perWordLog2);
-    state.slotShift[lane] = slotLog2;
-    state.fieldMask[lane] = mask32(1u << slotLog2);
-    const std::size_t words =
-        (table.size() + (std::size_t{1} << perWordLog2) - 1) >>
-        perWordLog2;
-    state.counters.resize(state.counters.size() + words, 0);
-    std::uint32_t *dst = state.counters.data() + state.laneBase[lane];
-    for (std::size_t e = 0; e < table.size(); ++e) {
-        dst[e >> perWordLog2] |=
-            static_cast<std::uint32_t>(table.data()[e])
-            << ((e & state.slotIdxMask[lane]) << slotLog2);
-    }
+    return {&s.laneBase, &s.addrMask, &s.histShift, &s.histMask,
+            &s.localBase, &s.localMask, &s.maxValue, &s.threshold,
+            &s.wordShift, &s.slotIdxMask, &s.slotShift, &s.fieldMask,
+            &s.choiceBase, &s.choiceAddrMask, &s.choiceMaxValue,
+            &s.choiceThreshold, &s.bankStride, &s.alwaysChoiceMask,
+            &s.bothBanksMask, &s.auxBase, &s.auxAddrMask, &s.auxMaxValue,
+            &s.auxThreshold, &s.tagShift, &s.tagMask, &s.hashFieldMask,
+            &s.foldShift, &s.hist};
 }
 
 /**
- * Appends a further direction bank directly after @p lane's previous
- * one (appendCounters() must have run for the lane), returning the
- * appended bank's word distance from laneBase. Requires state.packed
- * and a table of the same geometry as the first bank, so the lane's
- * slot constants cover all banks — which also makes bank k land at
- * exactly k times the first returned stride.
+ * Sums what the lane walks append to each arena, in elements, for
+ * the 2^31 check. Packed direction tables count unpacked — an upper
+ * bound on their words.
  */
-std::uint32_t
-appendNextBank(SimdBankState &state, std::size_t lane,
-               const CounterTable &table)
+struct ArenaSizer
 {
-    const unsigned perWordLog2 = state.wordShift[lane];
-    const unsigned slotLog2 = state.slotShift[lane];
-    const std::size_t words =
-        (table.size() + (std::size_t{1} << perWordLog2) - 1) >>
-        perWordLog2;
-    const std::size_t base = state.counters.size();
-    const std::uint32_t stride =
-        static_cast<std::uint32_t>(base - state.laneBase[lane]);
-    state.counters.resize(base + words, 0);
-    std::uint32_t *dst = state.counters.data() + base;
-    for (std::size_t e = 0; e < table.size(); ++e) {
-        dst[e >> perWordLog2] |=
-            static_cast<std::uint32_t>(table.data()[e])
-            << ((e & state.slotIdxMask[lane]) << slotLog2);
+    std::uint64_t counterTotal = 0;
+    std::uint64_t choiceTotal = 0;
+    std::uint64_t localTotal = 0;
+
+    void
+    direction(const CounterTable &table)
+    {
+        counterTotal += kSimdLaneStagger + table.size();
     }
-    return stride;
-}
+    void nextBank(const CounterTable &table) { counterTotal += table.size(); }
+    template <typename Pack, typename Unpack>
+    void
+    directionWords(std::size_t entries, Pack &&, Unpack &&)
+    {
+        counterTotal += kSimdLaneStagger + entries;
+    }
+    void
+    choice(const CounterTable &table)
+    {
+        choiceTotal += kSimdLaneStagger + table.size();
+    }
+    void aux(const CounterTable &table) { choice(table); }
+    template <typename Pack, typename Unpack>
+    void
+    choiceWords(std::size_t entries, Pack &&, Unpack &&)
+    {
+        choiceTotal += kSimdLaneStagger + entries;
+    }
+    void
+    local(const LocalHistoryTable &table)
+    {
+        localTotal += kSimdLaneStagger + table.entries();
+    }
+    void history(const HistoryRegister &) {}
 
-/** Appends @p table to the choice arena (one counter per word, see
- *  SimdBankState::choiceArena) after a stagger gap, recording the
- *  lane's choice base and counter constants. */
-void
-appendChoiceCounters(SimdBankState &state, std::size_t lane,
-                     const CounterTable &table)
-{
-    state.choiceMaxValue[lane] = table.max();
-    state.choiceThreshold[lane] = table.max() / 2;
-    state.choiceArena.resize(
-        state.choiceArena.size() + kSimdLaneStagger, 0);
-    state.choiceBase[lane] =
-        static_cast<std::uint32_t>(state.choiceArena.size());
-    state.choiceArena.insert(state.choiceArena.end(), table.data(),
-                             table.data() + table.size());
-}
+    bool
+    overflows() const
+    {
+        return std::max({counterTotal, choiceTotal, localTotal}) >
+               kMaxArenaElements;
+    }
+};
 
-void
-restoreChoiceCounters(const SimdBankState &state, std::size_t lane,
-                      CounterTable &table)
+/**
+ * Appends one lane's state to the shared arenas, each table behind a
+ * kSimdLaneStagger gap, recording the lane's bases and counter
+ * constants. Direction tables pack into bit slots or widen to one
+ * counter per word according to state.packed.
+ */
+struct ArenaAppender
 {
-    const std::uint32_t *src =
-        state.choiceArena.data() + state.choiceBase[lane];
-    for (std::size_t e = 0; e < table.size(); ++e)
-        table.data()[e] = static_cast<std::uint16_t>(src[e]);
-}
+    SimdBankState &state;
+    std::size_t lane = 0;
 
-/** Appends @p table as the lane's *second* pc-indexed stream in the
- *  choice arena (tournament's bimodal component), recording the aux
- *  base and counter constants. */
-void
-appendAuxCounters(SimdBankState &state, std::size_t lane,
-                  const CounterTable &table)
-{
-    state.auxMaxValue[lane] = table.max();
-    state.auxThreshold[lane] = table.max() / 2;
-    state.choiceArena.resize(
-        state.choiceArena.size() + kSimdLaneStagger, 0);
-    state.auxBase[lane] =
-        static_cast<std::uint32_t>(state.choiceArena.size());
-    state.choiceArena.insert(state.choiceArena.end(), table.data(),
-                             table.data() + table.size());
-}
+    /** Opens the lane's region of @p arena behind its stagger gap and
+     *  returns the region's base. */
+    static std::uint32_t
+    open(std::vector<std::uint32_t> &arena)
+    {
+        arena.resize(arena.size() + kSimdLaneStagger, 0);
+        return static_cast<std::uint32_t>(arena.size());
+    }
 
-void
-restoreAuxCounters(const SimdBankState &state, std::size_t lane,
-                   CounterTable &table)
-{
-    const std::uint32_t *src =
-        state.choiceArena.data() + state.auxBase[lane];
-    for (std::size_t e = 0; e < table.size(); ++e)
-        table.data()[e] = static_cast<std::uint16_t>(src[e]);
-}
+    void
+    direction(const CounterTable &table)
+    {
+        state.maxValue[lane] = table.max();
+        state.threshold[lane] = table.max() / 2;
+        state.laneBase[lane] = open(state.counters);
+        if (state.packed) {
+            // Slot width is the power of two >= the counter width
+            // (1..8 bits), so slot boundaries follow from plain
+            // shift/mask math and a word always holds 4, 8, 16 or 32
+            // whole counters.
+            const unsigned slotLog2 = log2Ceil(table.bits());
+            state.wordShift[lane] = 5 - slotLog2;
+            state.slotIdxMask[lane] = mask32(5 - slotLog2);
+            state.slotShift[lane] = slotLog2;
+            state.fieldMask[lane] = mask32(1u << slotLog2);
+        }
+        append(table);
+    }
 
-std::uint32_t
-packYagsEntry(const YagsPredictor::CacheEntry &entry)
-{
-    return (entry.valid ? kYagsValidBit : 0u) |
-           (static_cast<std::uint32_t>(entry.tag) << kYagsTagShift) |
-           entry.counter;
-}
+    /** A further direction bank of the first one's geometry, directly
+     *  after the lane's previous bank: bank k lands at k times
+     *  bankStride words past laneBase. */
+    void
+    nextBank(const CounterTable &table)
+    {
+        state.bankStride[lane] = static_cast<std::uint32_t>(append(table));
+    }
 
-/** Restores a packed table whose lane region starts @p wordOffset
- *  words past laneBase (the bi-mode taken bank at bankStride). */
-void
-restoreCounters(const SimdBankState &state, std::size_t lane,
-                CounterTable &table, std::size_t wordOffset = 0)
+    /** Appends @p table in the lane's slot layout; returns its words. */
+    std::size_t
+    append(const CounterTable &table)
+    {
+        std::vector<std::uint32_t> &arena = state.counters;
+        if (!state.packed) {
+            arena.insert(arena.end(), table.data(),
+                         table.data() + table.size());
+            return table.size();
+        }
+        // Word at a time, so each word is assembled in a register
+        // instead of read-modify-written once per counter.
+        const std::size_t perWord = std::size_t{1} << state.wordShift[lane];
+        const unsigned slotLog2 = state.slotShift[lane];
+        const std::size_t before = arena.size();
+        for (std::size_t first = 0; first < table.size(); first += perWord) {
+            const std::size_t count = std::min(perWord, table.size() - first);
+            std::uint32_t word = 0;
+            for (std::size_t k = 0; k < count; ++k) {
+                word |= static_cast<std::uint32_t>(table.data()[first + k])
+                        << (k << slotLog2);
+            }
+            arena.push_back(word);
+        }
+        return arena.size() - before;
+    }
+
+    template <typename Pack, typename Unpack>
+    void
+    directionWords(std::size_t entries, Pack &&pack, Unpack &&)
+    {
+        state.laneBase[lane] = open(state.counters);
+        for (std::size_t e = 0; e < entries; ++e)
+            state.counters.push_back(pack(e));
+    }
+
+    void
+    choice(const CounterTable &table)
+    {
+        state.choiceMaxValue[lane] = table.max();
+        state.choiceThreshold[lane] = table.max() / 2;
+        state.choiceBase[lane] = open(state.choiceArena);
+        state.choiceArena.insert(state.choiceArena.end(), table.data(),
+                                 table.data() + table.size());
+    }
+
+    /** The lane's second pc-indexed counter stream in the choice
+     *  arena (tournament's bimodal component). */
+    void
+    aux(const CounterTable &table)
+    {
+        state.auxMaxValue[lane] = table.max();
+        state.auxThreshold[lane] = table.max() / 2;
+        state.auxBase[lane] = open(state.choiceArena);
+        state.choiceArena.insert(state.choiceArena.end(), table.data(),
+                                 table.data() + table.size());
+    }
+
+    template <typename Pack, typename Unpack>
+    void
+    choiceWords(std::size_t entries, Pack &&pack, Unpack &&)
+    {
+        state.choiceBase[lane] = open(state.choiceArena);
+        for (std::size_t e = 0; e < entries; ++e)
+            state.choiceArena.push_back(pack(e));
+    }
+
+    void
+    local(const LocalHistoryTable &table)
+    {
+        state.localHistory = true;
+        state.histMask[lane] = mask32(table.bits());
+        state.localBase[lane] = open(state.localHist);
+        state.localMask[lane] = mask32(table.entriesLog2());
+        // historyBits <= 28, so the uint64 registers narrow to uint32
+        // losslessly.
+        for (std::size_t e = 0; e < table.entries(); ++e) {
+            state.localHist.push_back(
+                static_cast<std::uint32_t>(table.data()[e]));
+        }
+    }
+
+    void
+    history(const HistoryRegister &reg)
+    {
+        state.histMask[lane] = mask32(reg.bits());
+        state.hist[lane] = static_cast<std::uint32_t>(reg.value());
+    }
+};
+
+/** Copies one lane's state back out of the arenas an ArenaAppender
+ *  filled, reading the bases it recorded. */
+struct ArenaRestorer
 {
-    const std::uint32_t *src = state.counters.data() +
-                               state.laneBase[lane] + wordOffset;
-    if (!state.packed) {
-        // Counter values fit their (<= 8-bit) saturation value, so
-        // the narrowing is lossless.
+    const SimdBankState &state;
+    std::size_t lane = 0;
+    /** Word offset of the lane's next direction bank. */
+    std::size_t next = 0;
+
+    /** Counter values fit their (<= 8-bit) saturation value, so the
+     *  narrowing is lossless. */
+    static void
+    copyOut(const std::uint32_t *src, CounterTable &table)
+    {
         for (std::size_t e = 0; e < table.size(); ++e)
             table.data()[e] = static_cast<std::uint16_t>(src[e]);
-        return;
     }
-    const unsigned perWordLog2 = state.wordShift[lane];
-    const unsigned slotLog2 = state.slotShift[lane];
-    for (std::size_t e = 0; e < table.size(); ++e) {
-        table.data()[e] = static_cast<std::uint16_t>(
-            (src[e >> perWordLog2] >>
-             ((e & state.slotIdxMask[lane]) << slotLog2)) &
-            state.fieldMask[lane]);
+
+    void
+    direction(CounterTable &table)
+    {
+        next = state.laneBase[lane];
+        nextBank(table);
     }
+
+    void
+    nextBank(CounterTable &table)
+    {
+        if (!state.packed) {
+            copyOut(state.counters.data() + next, table);
+            next += table.size();
+            return;
+        }
+        const std::size_t perWord = std::size_t{1} << state.wordShift[lane];
+        const unsigned slotLog2 = state.slotShift[lane];
+        const std::uint32_t field = state.fieldMask[lane];
+        for (std::size_t first = 0; first < table.size(); first += perWord) {
+            const std::size_t count = std::min(perWord, table.size() - first);
+            const std::uint32_t word = state.counters[next++];
+            for (std::size_t k = 0; k < count; ++k) {
+                table.data()[first + k] = static_cast<std::uint16_t>(
+                    (word >> (k << slotLog2)) & field);
+            }
+        }
+    }
+
+    template <typename Pack, typename Unpack>
+    void
+    directionWords(std::size_t entries, Pack &&, Unpack &&unpack)
+    {
+        const std::uint32_t *src =
+            state.counters.data() + state.laneBase[lane];
+        for (std::size_t e = 0; e < entries; ++e)
+            unpack(e, src[e]);
+    }
+
+    void
+    choice(CounterTable &table)
+    {
+        copyOut(state.choiceArena.data() + state.choiceBase[lane], table);
+    }
+
+    void
+    aux(CounterTable &table)
+    {
+        copyOut(state.choiceArena.data() + state.auxBase[lane], table);
+    }
+
+    template <typename Pack, typename Unpack>
+    void
+    choiceWords(std::size_t entries, Pack &&, Unpack &&unpack)
+    {
+        const std::uint32_t *src =
+            state.choiceArena.data() + state.choiceBase[lane];
+        for (std::size_t e = 0; e < entries; ++e)
+            unpack(e, src[e]);
+    }
+
+    void
+    local(LocalHistoryTable &table)
+    {
+        const std::uint32_t *src =
+            state.localHist.data() + state.localBase[lane];
+        for (std::size_t e = 0; e < table.entries(); ++e)
+            table.data()[e] = src[e];
+    }
+
+    void history(HistoryRegister &reg) { reg.setValue(state.hist[lane]); }
+};
+
+/** The refusal reason for a history register wider than the lane
+ *  math allows, or nullptr. */
+const char *
+historyRefusal(unsigned historyBits, unsigned maxBits = 31)
+{
+    return historyBits > maxBits ? "history wider than the 32-bit lane math"
+                                 : nullptr;
 }
+
+/**
+ * One predictor kind's lane layout, stated once. Each specialization
+ * provides:
+ *
+ *  - kPacked, kChoice: the bank's direction-arena packing
+ *    (SimdBankState::packed) and kernel flavor;
+ *  - refuse(p, first): why lane @p p (in a bank whose lane 0 is
+ *    @p first) cannot run in 32-bit lane math, or nullptr;
+ *  - state(io, p): the ordered walk of the lane's tables and
+ *    history registers (whose widths set histMask). ArenaSizer,
+ *    ArenaAppender and ArenaRestorer all read this one walk, so
+ *    sizing, flattening and restoring cannot disagree about where a
+ *    table lives;
+ *  - constants(state, l, p): the lane's index-function constants.
+ *
+ * Constructors cap every index at <= 28 bits through the table
+ * sizes; the refusals enforce the lane-math limits independently, so
+ * a loosened cap refuses rather than truncates.
+ */
+template <typename Pred>
+struct Flatten;
+
+template <>
+struct Flatten<BimodalPredictor>
+{
+    // Unpacked: see SimdBankState::packed.
+    static constexpr bool kPacked = false;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::None;
+
+    static const char *
+    refuse(BimodalPredictor &, BimodalPredictor &)
+    {
+        return nullptr;
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, BimodalPredictor &p)
+    {
+        io.direction(p.tableRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, BimodalPredictor &p)
+    {
+        // histShift/histMask/hist stay 0: the history term of the
+        // unified index formula degenerates away and the per-branch
+        // shift keeps hist at 0.
+        s.addrMask[l] = mask32(p.indexBitCount());
+    }
+};
+
+template <>
+struct Flatten<GsharePredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::None;
+
+    static const char *
+    refuse(GsharePredictor &p, GsharePredictor &)
+    {
+        return historyRefusal(p.historyBitCount());
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, GsharePredictor &p)
+    {
+        io.direction(p.tableRef());
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, GsharePredictor &p)
+    {
+        s.addrMask[l] = mask32(p.indexBitCount());
+    }
+};
+
+template <>
+struct Flatten<TwoLevelPredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::None;
+
+    static const char *
+    refuse(TwoLevelPredictor &p, TwoLevelPredictor &first)
+    {
+        const TwoLevelConfig &cfg = p.config();
+        // The kernel instantiates one history flavor per bank; a
+        // mixed-scope bank (which fusion keys never produce) runs
+        // scalar.
+        if (cfg.scope != first.config().scope)
+            return "mixed history scopes";
+        if (cfg.historyBits + cfg.pcBits > 31)
+            return "index wider than the 32-bit lane math";
+        if (cfg.scope == HistoryScope::PerAddress &&
+            cfg.localEntriesLog2 > 28)
+            return "local-history table wider than the lane math";
+        return nullptr;
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, TwoLevelPredictor &p)
+    {
+        io.direction(p.tableRef());
+        if (LocalHistoryTable *local = p.localHistoryRef())
+            io.local(*local);
+        else
+            io.history(p.globalHistoryRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, TwoLevelPredictor &p)
+    {
+        const TwoLevelConfig &cfg = p.config();
+        s.addrMask[l] = mask32(cfg.pcBits);
+        s.histShift[l] = cfg.historyBits;
+    }
+};
+
+template <>
+struct Flatten<BiModePredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::BiMode;
+
+    static const char *
+    refuse(BiModePredictor &p, BiModePredictor &)
+    {
+        return historyRefusal(p.config().historyBits);
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, BiModePredictor &p)
+    {
+        // Not-taken bank at laneBase, taken bank bankStride words
+        // after it, matching the kernel's choice-sign blend.
+        io.direction(p.bankRef(BiModePredictor::kNotTakenBank));
+        io.nextBank(p.bankRef(BiModePredictor::kTakenBank));
+        io.choice(p.choiceTableRef());
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, BiModePredictor &p)
+    {
+        const BiModeConfig &cfg = p.config();
+        s.addrMask[l] = mask32(cfg.directionIndexBits);
+        s.choiceAddrMask[l] = mask32(cfg.choiceIndexBits);
+        if (cfg.alwaysUpdateChoice)
+            s.alwaysChoiceMask[l] = ~std::uint32_t{0};
+        if (!cfg.partialUpdate) {
+            s.bothBanksMask[l] = ~std::uint32_t{0};
+            s.updateBothBanks = true;
+        }
+    }
+};
+
+template <>
+struct Flatten<AgreePredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::Agree;
+
+    static const char *
+    refuse(AgreePredictor &p, AgreePredictor &)
+    {
+        return historyRefusal(p.config().historyBits);
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, AgreePredictor &p)
+    {
+        io.direction(p.tableRef());
+        // The biasing state packs into one choice word per entry:
+        // bit 0 = valid, bit 1 = the biasing bit (simd_bank.hh).
+        std::vector<std::uint16_t> &bias = p.biasBitRef();
+        std::vector<std::uint16_t> &valid = p.biasValidRef();
+        io.choiceWords(
+            bias.size(),
+            [&](std::size_t e) {
+                return valid[e] ? (1u | (bias[e] ? 2u : 0u)) : 0u;
+            },
+            [&](std::size_t e, std::uint32_t word) {
+                valid[e] = static_cast<std::uint16_t>(word & 1u);
+                bias[e] = static_cast<std::uint16_t>((word >> 1) & 1u);
+            });
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, AgreePredictor &p)
+    {
+        const AgreeConfig &cfg = p.config();
+        s.addrMask[l] = mask32(cfg.indexBits);
+        s.choiceAddrMask[l] = mask32(cfg.biasIndexBits);
+    }
+};
+
+template <>
+struct Flatten<TournamentPredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::Tournament;
+
+    static const char *
+    refuse(TournamentPredictor &p, TournamentPredictor &)
+    {
+        // Only the standard bimodal+gshare pairing has a flattening;
+        // custom component pairs step through virtual dispatch and
+        // stay on the scalar bank.
+        if (!p.bimodalComponentPtr() || !p.gshareComponentPtr())
+            return "non-standard component pairing";
+        return historyRefusal(p.gshareComponentPtr()->historyBitCount());
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, TournamentPredictor &p)
+    {
+        // gshare is the packed direction arena; the meta table rides
+        // the choice constants and the bimodal table the aux
+        // constants, both unpacked in the choice arena (pc-indexed
+        // streams re-touch words; packing would stall
+        // scatter-to-gather forwarding).
+        GsharePredictor &gshare = *p.gshareComponentPtr();
+        io.direction(gshare.tableRef());
+        io.history(gshare.historyRef());
+        io.choice(p.metaTableRef());
+        io.aux(p.bimodalComponentPtr()->tableRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, TournamentPredictor &p)
+    {
+        const GsharePredictor &gshare = *p.gshareComponentPtr();
+        s.addrMask[l] = mask32(gshare.indexBitCount());
+        s.choiceAddrMask[l] = mask32(p.metaIndexBitCount());
+        s.auxAddrMask[l] = mask32(p.bimodalComponentPtr()->indexBitCount());
+    }
+};
+
+template <>
+struct Flatten<GskewPredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::Gskew;
+
+    static const char *
+    refuse(GskewPredictor &p, GskewPredictor &)
+    {
+        const GskewConfig &cfg = p.config();
+        // The skew hashes mix a (bankIndexBits + 8)-bit address field
+        // with up to (historyBits + 1) bits of shifted history in
+        // 32-bit lanes. Capping the field at 31 bits and the history
+        // at 29 keeps the bank-2 add (address + (history << 1))
+        // below 2^32, so the lane add matches the scalar 64-bit sum
+        // exactly; the fold shift also needs 0 < n < 32.
+        if (cfg.bankIndexBits == 0 || cfg.bankIndexBits > 23)
+            return "hash address field outside the 32-bit lane math";
+        return historyRefusal(cfg.historyBits, 29);
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, GskewPredictor &p)
+    {
+        // The three equal-geometry banks sit back to back: bank 1 at
+        // bankStride words past bank 0, bank 2 at twice that.
+        io.direction(p.bankRef(0));
+        io.nextBank(p.bankRef(1));
+        io.nextBank(p.bankRef(2));
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, GskewPredictor &p)
+    {
+        const GskewConfig &cfg = p.config();
+        s.addrMask[l] = mask32(cfg.bankIndexBits);
+        s.hashFieldMask[l] = mask32(cfg.bankIndexBits + 8);
+        s.foldShift[l] = cfg.bankIndexBits;
+        if (!cfg.partialUpdate)
+            s.bothBanksMask[l] = ~std::uint32_t{0};
+        s.foldRounds = std::max<std::uint32_t>(
+            s.foldRounds, (64 + cfg.bankIndexBits - 1) / cfg.bankIndexBits);
+    }
+};
+
+template <>
+struct Flatten<YagsPredictor>
+{
+    // One whole cache entry per arena word (kYagsCounterMask layout):
+    // the probe gathers valid+tag+counter in one load and allocation
+    // rewrites the word wholesale, so the packed slot math never
+    // applies.
+    static constexpr bool kPacked = false;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::Yags;
+
+    static const char *
+    refuse(YagsPredictor &p, YagsPredictor &)
+    {
+        const YagsConfig &cfg = p.config();
+        if (const char *reason = historyRefusal(cfg.historyBits))
+            return reason;
+        // The scalar tag comes from 64-bit word-address bits
+        // [cacheIndexBits, cacheIndexBits + tagBits); the kernel only
+        // carries the low 32 address bits per lane.
+        if (cfg.cacheIndexBits + cfg.tagBits > 32)
+            return "tag field above the 32-bit lane math";
+        return nullptr;
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, YagsPredictor &p)
+    {
+        // Not-taken cache at laneBase, taken cache bankStride words
+        // after it; the kernel consults the cache *opposite* the
+        // choice direction (yags.hh), so the stride add is masked by
+        // ~choice.
+        using Entry = YagsPredictor::CacheEntry;
+        std::vector<Entry> &notTaken =
+            p.cacheRef(YagsPredictor::kNotTakenCache);
+        std::vector<Entry> &taken = p.cacheRef(YagsPredictor::kTakenCache);
+        const std::size_t n = notTaken.size();
+        auto entry = [&](std::size_t e) -> Entry & {
+            return e < n ? notTaken[e] : taken[e - n];
+        };
+        io.directionWords(
+            2 * n,
+            [&](std::size_t e) {
+                const Entry &c = entry(e);
+                return (c.valid ? kYagsValidBit : 0u) |
+                       (static_cast<std::uint32_t>(c.tag) << kYagsTagShift) |
+                       c.counter;
+            },
+            [&](std::size_t e, std::uint32_t word) {
+                Entry &c = entry(e);
+                c.valid = (word & kYagsValidBit) != 0;
+                c.tag = static_cast<std::uint16_t>(
+                    (word >> kYagsTagShift) & 0xFFFFu);
+                c.counter =
+                    static_cast<std::uint16_t>(word & kYagsCounterMask);
+            });
+        io.choice(p.choiceTableRef());
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, YagsPredictor &p)
+    {
+        const YagsConfig &cfg = p.config();
+        s.maxValue[l] = mask32(cfg.counterWidth);
+        s.threshold[l] = s.maxValue[l] / 2;
+        s.bankStride[l] = static_cast<std::uint32_t>(
+            p.cacheRef(YagsPredictor::kNotTakenCache).size());
+        s.choiceAddrMask[l] = mask32(cfg.choiceIndexBits);
+        s.addrMask[l] = mask32(cfg.cacheIndexBits);
+        s.tagShift[l] = cfg.cacheIndexBits;
+        s.tagMask[l] = mask32(cfg.tagBits);
+    }
+};
+
+template <>
+struct Flatten<FilterPredictor>
+{
+    static constexpr bool kPacked = true;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::Filter;
+
+    static const char *
+    refuse(FilterPredictor &p, FilterPredictor &)
+    {
+        return historyRefusal(p.config().historyBits);
+    }
+
+    template <typename Io>
+    static void
+    state(Io &io, FilterPredictor &p)
+    {
+        io.direction(p.phtRef());
+        // Filter entries pack into one choice word each: direction in
+        // bit 0, run length from bit 1 (runs are <= 8 bits). The
+        // saturation value rides choiceMaxValue.
+        std::vector<FilterPredictor::FilterEntry> &filter = p.filterRef();
+        io.choiceWords(
+            filter.size(),
+            [&](std::size_t e) {
+                return (filter[e].direction ? 1u : 0u) |
+                       (static_cast<std::uint32_t>(filter[e].runLength)
+                        << 1);
+            },
+            [&](std::size_t e, std::uint32_t word) {
+                filter[e].direction = static_cast<std::uint16_t>(word & 1u);
+                filter[e].runLength = static_cast<std::uint16_t>(word >> 1);
+            });
+        io.history(p.historyRef());
+    }
+
+    static void
+    constants(SimdBankState &s, std::size_t l, FilterPredictor &p)
+    {
+        const FilterConfig &cfg = p.config();
+        s.addrMask[l] = mask32(cfg.indexBits);
+        s.choiceAddrMask[l] = mask32(cfg.filterIndexBits);
+        s.choiceMaxValue[l] = p.runSaturationValue();
+    }
+};
 
 } // namespace
 
@@ -268,19 +769,106 @@ logSimdBankFallback(const std::string &what, const char *reason)
                  << " runs the scalar bank (" << reason << ")");
 }
 
-void
-logProbedBankFallback(const std::string &what, const char *reason)
+} // namespace detail
+
+template <typename Pred>
+std::optional<SimdBankState>
+buildSimdBank(std::vector<Pred> &bank)
 {
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!seen.insert(what + '|' + reason).second)
-        return;
-    BPSIM_INFORM("probed bank fallback: per-branch replay of " << what
-                 << " runs the scalar bank (" << reason << ")");
+    static_assert(kSimdFlattenable<Pred>);
+    using Layout = Flatten<Pred>;
+    if (bank.empty())
+        return std::nullopt;
+    ArenaSizer sizer;
+    for (Pred &p : bank) {
+        if (const char *reason = Layout::refuse(p, bank.front())) {
+            detail::logSimdBankFallback(p.name(), reason);
+            return std::nullopt;
+        }
+        Layout::state(sizer, p);
+    }
+    if (sizer.overflows()) {
+        detail::logSimdBankFallback(bank.front().name(),
+                                    "arena over 2^31 elements");
+        return std::nullopt;
+    }
+
+    SimdBankState state;
+    state.packed = Layout::kPacked;
+    state.choiceKind = Layout::kChoice;
+    const std::size_t lanes = bank.size();
+    state.lanes = lanes;
+    const std::size_t padded = (lanes + kMaxSimdGroupLanes - 1) /
+                               kMaxSimdGroupLanes * kMaxSimdGroupLanes;
+    for (std::vector<std::uint32_t> *array : laneArrays(state))
+        array->assign(padded, 0);
+    state.mispredictions.assign(lanes, 0);
+    if (!state.packed)
+        state.counters.reserve(sizer.counterTotal);
+    state.choiceArena.reserve(sizer.choiceTotal);
+    state.localHist.reserve(sizer.localTotal);
+
+    ArenaAppender appender{state};
+    for (std::size_t l = 0; l < lanes; ++l) {
+        appender.lane = l;
+        Layout::state(appender, bank[l]);
+        Layout::constants(state, l, bank[l]);
+    }
+    // Padding lanes replicate lane 0 so padded vector slots execute a
+    // valid (discarded) lane.
+    for (std::vector<std::uint32_t> *array : laneArrays(state))
+        std::fill(array->begin() + lanes, array->end(), array->front());
+    return state;
 }
 
-} // namespace detail
+template <typename Pred>
+void
+storeSimdBank(const SimdBankState &state, std::vector<Pred> &bank)
+{
+    ArenaRestorer restorer{state};
+    for (std::size_t l = 0; l < bank.size(); ++l) {
+        restorer.lane = l;
+        Flatten<Pred>::state(restorer, bank[l]);
+    }
+}
+
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<BimodalPredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<GsharePredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<TwoLevelPredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<BiModePredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<AgreePredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<TournamentPredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<GskewPredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<YagsPredictor> &);
+template std::optional<SimdBankState>
+buildSimdBank(std::vector<FilterPredictor> &);
+
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<BimodalPredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<GsharePredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<TwoLevelPredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<BiModePredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<AgreePredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<TournamentPredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<GskewPredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<YagsPredictor> &);
+template void storeSimdBank(const SimdBankState &,
+                            std::vector<FilterPredictor> &);
 
 bool
 buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,
@@ -305,9 +893,9 @@ buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,
     probe.arena.assign(static_cast<std::size_t>(elements), 0);
     probe.laneBase.assign(state.paddedLanes(), 0);
     for (std::size_t l = 0; l < state.lanes; ++l) {
-        // The stagger gap precedes each block, mirroring
-        // appendCounters(): pc-indexed scatter-adds would otherwise
-        // collide at power-of-two page offsets across lanes.
+        // The stagger gap precedes each block, mirroring the counter
+        // arenas: pc-indexed scatter-adds would otherwise collide at
+        // power-of-two page offsets across lanes.
         probe.laneBase[l] = static_cast<std::uint32_t>(
             block * l + kSimdLaneStagger);
     }
@@ -316,663 +904,6 @@ buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,
     std::fill(probe.laneBase.begin() + state.lanes,
               probe.laneBase.end(), probe.laneBase.front());
     return true;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<BimodalPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    for (BimodalPredictor &p : bank)
-        totalCounters += p.table().size();
-    if (totalCounters > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    initLaneArrays(state, bank.size());
-    state.counters.reserve(totalCounters);
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        appendCounters(state, l, bank[l].table());
-        state.addrMask[l] = mask32(bank[l].indexBitCount());
-        // histShift/histMask/hist stay 0: the history term of the
-        // unified index formula degenerates away and the per-branch
-        // shift keeps hist at 0.
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<GsharePredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    for (GsharePredictor &p : bank) {
-        totalCounters += p.tableRef().size();
-        // The constructor caps history at the (<= 28 bit) index
-        // width, but the 32-bit lane math is a hard requirement:
-        // refuse rather than truncate if that ever loosens.
-        if (p.historyBitCount() > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-    }
-    if (totalCounters > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        appendCounters(state, l, bank[l].tableRef());
-        state.addrMask[l] = mask32(bank[l].indexBitCount());
-        state.histMask[l] = mask32(bank[l].historyBitCount());
-        state.hist[l] = static_cast<std::uint32_t>(
-            bank[l].historyRef().value());
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<TwoLevelPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    const HistoryScope scope = bank.front().config().scope;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    std::uint64_t totalLocal = staggerElements(bank.size());
-    for (TwoLevelPredictor &p : bank) {
-        const TwoLevelConfig &cfg = p.config();
-        // The kernel instantiates one history flavor per bank; a
-        // mixed-scope bank (which fusion keys never produce) runs
-        // scalar.
-        if (cfg.scope != scope) {
-            detail::logSimdBankFallback(p.name(),
-                                        "mixed history scopes");
-            return std::nullopt;
-        }
-        // Constructors cap historyBits + pcBits at 28 via the table
-        // size; enforce the lane-math limits independently.
-        if (cfg.historyBits + cfg.pcBits > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "index wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        totalCounters += p.tableRef().size();
-        if (scope == HistoryScope::PerAddress) {
-            if (cfg.localEntriesLog2 > 28) {
-                detail::logSimdBankFallback(
-                    p.name(),
-                    "local-history table wider than the lane math");
-                return std::nullopt;
-            }
-            totalLocal += p.localHistoryRef()->entries();
-        }
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalLocal > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.localHistory = scope == HistoryScope::PerAddress;
-    state.packed = true;
-    initLaneArrays(state, bank.size());
-    state.localHist.reserve(totalLocal);
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        const TwoLevelConfig &cfg = bank[l].config();
-        appendCounters(state, l, bank[l].tableRef());
-        state.addrMask[l] = mask32(cfg.pcBits);
-        state.histShift[l] = cfg.historyBits;
-        state.histMask[l] = mask32(cfg.historyBits);
-        if (scope == HistoryScope::Global) {
-            state.hist[l] = static_cast<std::uint32_t>(
-                bank[l].globalHistoryRef().value());
-        } else {
-            const LocalHistoryTable &local =
-                *bank[l].localHistoryRef();
-            state.localHist.resize(
-                state.localHist.size() + kSimdLaneStagger, 0);
-            state.localBase[l] =
-                static_cast<std::uint32_t>(state.localHist.size());
-            state.localMask[l] = mask32(local.entriesLog2());
-            for (std::size_t e = 0; e < local.entries(); ++e) {
-                // historyBits <= 28, so the uint64 registers narrow
-                // to uint32 losslessly.
-                state.localHist.push_back(
-                    static_cast<std::uint32_t>(local.data()[e]));
-            }
-        }
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<BiModePredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    std::uint64_t totalChoice = staggerElements(bank.size());
-    for (BiModePredictor &p : bank) {
-        const BiModeConfig &cfg = p.config();
-        // The constructor caps history at the (<= 28 bit) direction
-        // index width; enforce the 32-bit lane math independently.
-        if (cfg.historyBits > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        // Unpacked upper bound on the packed direction words, like
-        // the other packed builders.
-        totalCounters += p.takenBank().size() + p.notTakenBank().size();
-        totalChoice += p.choiceTable().size();
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalChoice > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    state.choiceKind = SimdChoiceKind::BiMode;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        BiModePredictor &p = bank[l];
-        const BiModeConfig &cfg = p.config();
-        // Not-taken bank at laneBase, taken bank bankStride words
-        // after it, matching the kernel's choice-sign blend.
-        appendCounters(state, l,
-                       p.bankRef(BiModePredictor::kNotTakenBank));
-        state.bankStride[l] = appendNextBank(
-            state, l, p.bankRef(BiModePredictor::kTakenBank));
-        appendChoiceCounters(state, l, p.choiceTableRef());
-        state.addrMask[l] = mask32(cfg.directionIndexBits);
-        state.histMask[l] = mask32(cfg.historyBits);
-        state.choiceAddrMask[l] = mask32(cfg.choiceIndexBits);
-        state.hist[l] =
-            static_cast<std::uint32_t>(p.historyRef().value());
-        if (cfg.alwaysUpdateChoice)
-            state.alwaysChoiceMask[l] = ~std::uint32_t{0};
-        if (!cfg.partialUpdate) {
-            state.bothBanksMask[l] = ~std::uint32_t{0};
-            state.updateBothBanks = true;
-        }
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<AgreePredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    std::uint64_t totalChoice = staggerElements(bank.size());
-    for (AgreePredictor &p : bank) {
-        // Constructor-capped at the (<= 28 bit) index width; enforce
-        // the lane math independently.
-        if (p.config().historyBits > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        totalCounters += p.tableRef().size();
-        totalChoice += p.biasBitRef().size();
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalChoice > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    state.choiceKind = SimdChoiceKind::Agree;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        AgreePredictor &p = bank[l];
-        const AgreeConfig &cfg = p.config();
-        appendCounters(state, l, p.tableRef());
-        // The biasing state packs into one choice word per entry:
-        // bit 0 = valid, bit 1 = the biasing bit (simd_bank.hh).
-        state.choiceArena.resize(
-            state.choiceArena.size() + kSimdLaneStagger, 0);
-        state.choiceBase[l] =
-            static_cast<std::uint32_t>(state.choiceArena.size());
-        const std::vector<std::uint16_t> &bias = p.biasBitRef();
-        const std::vector<std::uint16_t> &valid = p.biasValidRef();
-        for (std::size_t e = 0; e < bias.size(); ++e) {
-            state.choiceArena.push_back(
-                valid[e] ? (1u | (bias[e] ? 2u : 0u)) : 0u);
-        }
-        state.addrMask[l] = mask32(cfg.indexBits);
-        state.histMask[l] = mask32(cfg.historyBits);
-        state.choiceAddrMask[l] = mask32(cfg.biasIndexBits);
-        state.hist[l] =
-            static_cast<std::uint32_t>(p.historyRef().value());
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<TournamentPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    // Two pc-indexed streams (meta + bimodal) share the choice
-    // arena, each behind its own stagger gap.
-    std::uint64_t totalChoice = 2 * staggerElements(bank.size());
-    for (TournamentPredictor &p : bank) {
-        BimodalPredictor *bimodal = p.bimodalComponentPtr();
-        GsharePredictor *gshare = p.gshareComponentPtr();
-        // Only the standard bimodal+gshare pairing has a flattening;
-        // custom component pairs step through virtual dispatch and
-        // stay on the scalar bank.
-        if (!bimodal || !gshare) {
-            detail::logSimdBankFallback(
-                p.name(), "non-standard component pairing");
-            return std::nullopt;
-        }
-        // Constructor-capped at the (<= 28 bit) index width; enforce
-        // the lane math independently.
-        if (gshare->historyBitCount() > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        totalCounters += gshare->tableRef().size();
-        totalChoice += p.metaTableRef().size() +
-                       bimodal->tableRef().size();
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalChoice > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    state.choiceKind = SimdChoiceKind::Tournament;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        TournamentPredictor &p = bank[l];
-        GsharePredictor &gshare = *p.gshareComponentPtr();
-        BimodalPredictor &bimodal = *p.bimodalComponentPtr();
-        // gshare is the packed direction arena; the meta table rides
-        // the choice constants and the bimodal table the aux
-        // constants, both unpacked in the choice arena (pc-indexed
-        // streams re-touch words; packing would stall
-        // scatter-to-gather forwarding).
-        appendCounters(state, l, gshare.tableRef());
-        state.addrMask[l] = mask32(gshare.indexBitCount());
-        state.histMask[l] = mask32(gshare.historyBitCount());
-        state.hist[l] = static_cast<std::uint32_t>(
-            gshare.historyRef().value());
-        appendChoiceCounters(state, l, p.metaTableRef());
-        state.choiceAddrMask[l] = mask32(p.metaIndexBitCount());
-        appendAuxCounters(state, l, bimodal.tableRef());
-        state.auxAddrMask[l] = mask32(bimodal.indexBitCount());
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<GskewPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    for (GskewPredictor &p : bank) {
-        const GskewConfig &cfg = p.config();
-        // The skew hashes mix a (bankIndexBits + 8)-bit address field
-        // with up to (historyBits + 1) bits of shifted history in
-        // 32-bit lanes. Capping the field at 31 bits and the history
-        // at 29 keeps the bank-2 add (address + (history << 1))
-        // below 2^32, so the lane add matches the scalar 64-bit sum
-        // exactly; the fold shift also needs 0 < n < 32.
-        if (cfg.bankIndexBits == 0 || cfg.bankIndexBits > 23) {
-            detail::logSimdBankFallback(
-                p.name(),
-                "hash address field outside the 32-bit lane math");
-            return std::nullopt;
-        }
-        if (cfg.historyBits > 29) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        // Unpacked upper bound on the packed bank words, like the
-        // other packed builders.
-        totalCounters += 3 * p.bankRef(0).size();
-    }
-    if (totalCounters > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    state.choiceKind = SimdChoiceKind::Gskew;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        GskewPredictor &p = bank[l];
-        const GskewConfig &cfg = p.config();
-        // The three equal-geometry banks sit back to back: bank 1 at
-        // bankStride words past bank 0, bank 2 at twice that.
-        appendCounters(state, l, p.bankRef(0));
-        state.bankStride[l] = appendNextBank(state, l, p.bankRef(1));
-        appendNextBank(state, l, p.bankRef(2));
-        state.addrMask[l] = mask32(cfg.bankIndexBits);
-        state.hashFieldMask[l] = mask32(cfg.bankIndexBits + 8);
-        state.foldShift[l] = cfg.bankIndexBits;
-        state.histMask[l] = mask32(cfg.historyBits);
-        state.hist[l] =
-            static_cast<std::uint32_t>(p.historyRef().value());
-        if (!cfg.partialUpdate)
-            state.bothBanksMask[l] = ~std::uint32_t{0};
-        state.foldRounds = std::max<std::uint32_t>(
-            state.foldRounds,
-            (64 + cfg.bankIndexBits - 1) / cfg.bankIndexBits);
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<YagsPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    std::uint64_t totalChoice = staggerElements(bank.size());
-    for (YagsPredictor &p : bank) {
-        const YagsConfig &cfg = p.config();
-        // Constructor-capped at the (<= 28 bit) cache index width;
-        // enforce the lane math independently.
-        if (cfg.historyBits > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        // The scalar tag comes from 64-bit word-address bits
-        // [cacheIndexBits, cacheIndexBits + tagBits); the kernel only
-        // carries the low 32 address bits per lane.
-        if (cfg.cacheIndexBits + cfg.tagBits > 32) {
-            detail::logSimdBankFallback(
-                p.name(), "tag field above the 32-bit lane math");
-            return std::nullopt;
-        }
-        totalCounters += 2 * p.cacheRef(0).size();
-        totalChoice += p.choiceTableRef().size();
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalChoice > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    // One whole cache entry per arena word (kYagsCounterMask layout):
-    // the probe gathers valid+tag+counter in one load and allocation
-    // rewrites the word wholesale, so the packed slot math never
-    // applies.
-    state.choiceKind = SimdChoiceKind::Yags;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        YagsPredictor &p = bank[l];
-        const YagsConfig &cfg = p.config();
-        state.maxValue[l] = mask32(cfg.counterWidth);
-        state.threshold[l] = state.maxValue[l] / 2;
-        state.counters.resize(
-            state.counters.size() + kSimdLaneStagger, 0);
-        state.laneBase[l] =
-            static_cast<std::uint32_t>(state.counters.size());
-        // Not-taken cache at laneBase, taken cache bankStride words
-        // after it; the kernel consults the cache *opposite* the
-        // choice direction (yags.hh), so the stride add is masked by
-        // ~choice.
-        for (std::uint32_t cache = 0; cache < 2; ++cache) {
-            if (cache == YagsPredictor::kTakenCache) {
-                state.bankStride[l] = static_cast<std::uint32_t>(
-                    state.counters.size() - state.laneBase[l]);
-            }
-            for (const YagsPredictor::CacheEntry &entry :
-                 p.cacheRef(cache))
-                state.counters.push_back(packYagsEntry(entry));
-        }
-        appendChoiceCounters(state, l, p.choiceTableRef());
-        state.choiceAddrMask[l] = mask32(cfg.choiceIndexBits);
-        state.addrMask[l] = mask32(cfg.cacheIndexBits);
-        state.tagShift[l] = cfg.cacheIndexBits;
-        state.tagMask[l] = mask32(cfg.tagBits);
-        state.histMask[l] = mask32(cfg.historyBits);
-        state.hist[l] =
-            static_cast<std::uint32_t>(p.historyRef().value());
-    }
-    padLanes(state);
-    return state;
-}
-
-std::optional<SimdBankState>
-buildSimdBank(std::vector<FilterPredictor> &bank)
-{
-    if (bank.empty())
-        return std::nullopt;
-    std::uint64_t totalCounters = staggerElements(bank.size());
-    std::uint64_t totalChoice = staggerElements(bank.size());
-    for (FilterPredictor &p : bank) {
-        // Constructor-capped at the (<= 28 bit) PHT index width;
-        // enforce the lane math independently.
-        if (p.config().historyBits > 31) {
-            detail::logSimdBankFallback(
-                p.name(), "history wider than the 32-bit lane math");
-            return std::nullopt;
-        }
-        totalCounters += p.phtRef().size();
-        totalChoice += p.filterRef().size();
-    }
-    if (totalCounters > kMaxArenaElements ||
-        totalChoice > kMaxArenaElements) {
-        detail::logSimdBankFallback(bank.front().name(),
-                                    "arena over 2^31 elements");
-        return std::nullopt;
-    }
-
-    SimdBankState state;
-    state.packed = true;
-    state.choiceKind = SimdChoiceKind::Filter;
-    initLaneArrays(state, bank.size());
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        FilterPredictor &p = bank[l];
-        const FilterConfig &cfg = p.config();
-        appendCounters(state, l, p.phtRef());
-        state.addrMask[l] = mask32(cfg.indexBits);
-        state.histMask[l] = mask32(cfg.historyBits);
-        state.hist[l] =
-            static_cast<std::uint32_t>(p.historyRef().value());
-        // Filter entries pack into one choice word each: direction
-        // in bit 0, run length from bit 1 (runs are <= 8 bits). The
-        // saturation value rides choiceMaxValue.
-        state.choiceArena.resize(
-            state.choiceArena.size() + kSimdLaneStagger, 0);
-        state.choiceBase[l] =
-            static_cast<std::uint32_t>(state.choiceArena.size());
-        for (const FilterPredictor::FilterEntry &entry : p.filterRef()) {
-            state.choiceArena.push_back(
-                (entry.direction ? 1u : 0u) |
-                (static_cast<std::uint32_t>(entry.runLength) << 1));
-        }
-        state.choiceAddrMask[l] = mask32(cfg.filterIndexBits);
-        state.choiceMaxValue[l] = p.runSaturationValue();
-    }
-    padLanes(state);
-    return state;
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<BimodalPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l)
-        restoreCounters(state, l, bank[l].tableRef());
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<GsharePredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        restoreCounters(state, l, bank[l].tableRef());
-        bank[l].historyRef().setValue(state.hist[l]);
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<TwoLevelPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        restoreCounters(state, l, bank[l].tableRef());
-        if (!state.localHistory) {
-            bank[l].globalHistoryRef().setValue(state.hist[l]);
-            continue;
-        }
-        LocalHistoryTable &local = *bank[l].localHistoryRef();
-        const std::uint32_t *src =
-            state.localHist.data() + state.localBase[l];
-        for (std::size_t e = 0; e < local.entries(); ++e)
-            local.data()[e] = src[e];
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<BiModePredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        BiModePredictor &p = bank[l];
-        restoreCounters(state, l,
-                        p.bankRef(BiModePredictor::kNotTakenBank));
-        restoreCounters(state, l,
-                        p.bankRef(BiModePredictor::kTakenBank),
-                        state.bankStride[l]);
-        restoreChoiceCounters(state, l, p.choiceTableRef());
-        p.historyRef().setValue(state.hist[l]);
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<AgreePredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        AgreePredictor &p = bank[l];
-        restoreCounters(state, l, p.tableRef());
-        const std::uint32_t *src =
-            state.choiceArena.data() + state.choiceBase[l];
-        std::vector<std::uint16_t> &bias = p.biasBitRef();
-        std::vector<std::uint16_t> &valid = p.biasValidRef();
-        for (std::size_t e = 0; e < bias.size(); ++e) {
-            valid[e] = static_cast<std::uint16_t>(src[e] & 1u);
-            bias[e] = static_cast<std::uint16_t>((src[e] >> 1) & 1u);
-        }
-        p.historyRef().setValue(state.hist[l]);
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<TournamentPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        TournamentPredictor &p = bank[l];
-        GsharePredictor &gshare = *p.gshareComponentPtr();
-        restoreCounters(state, l, gshare.tableRef());
-        gshare.historyRef().setValue(state.hist[l]);
-        restoreChoiceCounters(state, l, p.metaTableRef());
-        restoreAuxCounters(state, l,
-                           p.bimodalComponentPtr()->tableRef());
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<GskewPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        GskewPredictor &p = bank[l];
-        restoreCounters(state, l, p.bankRef(0));
-        restoreCounters(state, l, p.bankRef(1), state.bankStride[l]);
-        restoreCounters(state, l, p.bankRef(2),
-                        2 * static_cast<std::size_t>(
-                                state.bankStride[l]));
-        p.historyRef().setValue(state.hist[l]);
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<YagsPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        YagsPredictor &p = bank[l];
-        const std::uint32_t *src =
-            state.counters.data() + state.laneBase[l];
-        for (std::uint32_t cache = 0; cache < 2; ++cache) {
-            for (YagsPredictor::CacheEntry &entry : p.cacheRef(cache)) {
-                const std::uint32_t word = *src++;
-                entry.valid = (word & kYagsValidBit) != 0;
-                entry.tag = static_cast<std::uint16_t>(
-                    (word >> kYagsTagShift) & 0xFFFFu);
-                entry.counter = static_cast<std::uint16_t>(
-                    word & kYagsCounterMask);
-            }
-        }
-        restoreChoiceCounters(state, l, p.choiceTableRef());
-        p.historyRef().setValue(state.hist[l]);
-    }
-}
-
-void
-storeSimdBank(const SimdBankState &state,
-              std::vector<FilterPredictor> &bank)
-{
-    for (std::size_t l = 0; l < bank.size(); ++l) {
-        FilterPredictor &p = bank[l];
-        restoreCounters(state, l, p.phtRef());
-        const std::uint32_t *src =
-            state.choiceArena.data() + state.choiceBase[l];
-        for (FilterPredictor::FilterEntry &entry : p.filterRef()) {
-            const std::uint32_t word = *src++;
-            entry.direction = static_cast<std::uint16_t>(word & 1u);
-            entry.runLength = static_cast<std::uint16_t>(word >> 1);
-        }
-        p.historyRef().setValue(state.hist[l]);
-    }
 }
 
 } // namespace bpsim

@@ -61,11 +61,16 @@
  * exact serial state dependency of the scalar oracle, which is what
  * makes bit-identity hold by construction rather than by accident.
  *
- * buildSimdBank() returns std::nullopt whenever the bank shape is
- * outside what 32-bit gather indices (or the formula above) can
- * express; the caller then falls back to the scalar bank. The
- * catch-all template makes ineligible predictor kinds compile to
- * that same fallback.
+ * Each kind's lane layout is stated once, in its Flatten<Pred> walk
+ * (simd_bank.cc): the ordered list of its tables and history
+ * registers. One visitor sums that walk's arena sizes, one appends
+ * it to the arenas (buildSimdBank()), one copies it back
+ * (storeSimdBank()), so the three cannot disagree about where a
+ * table lives. buildSimdBank() returns std::nullopt whenever the
+ * bank shape is outside what 32-bit gather indices (or the formula
+ * above) can express; the caller then falls back to the scalar
+ * bank. Kinds without a flattening (kSimdFlattenable false) compile
+ * straight to the scalar bank.
  */
 
 #ifndef BPSIM_SIM_SIMD_SIMD_BANK_HH
@@ -74,6 +79,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simd/kernel_tier.hh"
@@ -299,30 +305,41 @@ struct SimdBankState
 };
 
 /**
+ * True for the predictor types with a SIMD flattening — the types
+ * buildSimdBank() and storeSimdBank() are instantiated for
+ * (simd_bank.cc states each one's lane layout once). Other kinds
+ * compile to the scalar bank (replayKernelBank()).
+ */
+template <typename Pred>
+constexpr bool kSimdFlattenable =
+    std::is_same_v<Pred, BimodalPredictor> ||
+    std::is_same_v<Pred, GsharePredictor> ||
+    std::is_same_v<Pred, TwoLevelPredictor> ||
+    std::is_same_v<Pred, BiModePredictor> ||
+    std::is_same_v<Pred, AgreePredictor> ||
+    std::is_same_v<Pred, TournamentPredictor> ||
+    std::is_same_v<Pred, GskewPredictor> ||
+    std::is_same_v<Pred, YagsPredictor> ||
+    std::is_same_v<Pred, FilterPredictor>;
+
+/**
  * Flattens @p bank into SIMD lane state, copying counters/history
  * out of the predictors. The predictors themselves are not modified
- * until storeSimdBank(). Returns std::nullopt when the bank cannot
- * be expressed (arena over 2^31 elements, history wider than the
- * 32-bit lane math, mixed history scopes).
+ * until storeSimdBank(). Returns std::nullopt (logged once through
+ * detail::logSimdBankFallback()) when the bank cannot be expressed:
+ * arena over 2^31 elements, history, tag or hash field wider than
+ * the 32-bit lane math, a non-standard tournament pairing, mixed
+ * history scopes.
+ *
+ * @tparam Pred a kSimdFlattenable type
  */
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<BimodalPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<GsharePredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<TwoLevelPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<BiModePredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<AgreePredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<TournamentPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<GskewPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<YagsPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<FilterPredictor> &bank);
+template <typename Pred>
+std::optional<SimdBankState> buildSimdBank(std::vector<Pred> &bank);
+
+/** Stores arena state back into the predictors buildSimdBank()
+ *  flattened; @p bank must be the same bank. */
+template <typename Pred>
+void storeSimdBank(const SimdBankState &state, std::vector<Pred> &bank);
 
 namespace detail
 {
@@ -331,53 +348,15 @@ namespace detail
  * Records (once per process per distinct what/reason pair, at
  * verbose/debug level) that a bank fell back to the scalar loop, so
  * perf regressions from ineligible shapes are diagnosable instead of
- * invisible.
+ * invisible. Probed and unprobed replays log through this one
+ * channel; the counts are bit-identical either way.
  *
  * @param what the bank's kind/shape, e.g. a predictor name()
- * @param reason why the SIMD flattening refused it
+ * @param reason why the SIMD path refused it
  */
 void logSimdBankFallback(const std::string &what, const char *reason);
 
 } // namespace detail
-
-/** Catch-all: predictor kinds without a SIMD flattening run the
- *  scalar bank. */
-template <typename Pred>
-std::optional<SimdBankState>
-buildSimdBank(std::vector<Pred> &bank)
-{
-    detail::logSimdBankFallback(
-        bank.empty() ? "<empty bank>" : bank.front().name(),
-        "kind has no SIMD flattening");
-    return std::nullopt;
-}
-
-/** Stores arena state back into the predictors a buildSimdBank()
- *  overload flattened; @p bank must be the same bank. */
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<BimodalPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<GsharePredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<TwoLevelPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<BiModePredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<AgreePredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<TournamentPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<GskewPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<YagsPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<FilterPredictor> &bank);
-
-template <typename Pred>
-void
-storeSimdBank(const SimdBankState &, std::vector<Pred> &)
-{
-}
 
 /**
  * Per-branch accounting sink of a probed SIMD replay (sim/probe.hh):
@@ -457,16 +436,6 @@ void simdBankReplayAvx512(SimdBankState &state, const std::uint64_t *pcs,
 void simdBankReplayNeon(SimdBankState &state, const std::uint64_t *pcs,
                         const std::uint64_t *words, std::size_t total,
                         std::size_t warmup, SimdBankProbe *probe);
-
-/**
- * Records (once per process per distinct what/reason pair, at
- * verbose/debug level) that a *probed* replay ran the scalar bank
- * although a SIMD tier was resolved — the probed mirror of
- * logSimdBankFallback(), so per-branch analysis users know which
- * path produced their counts (the counts are bit-identical either
- * way; only throughput differs).
- */
-void logProbedBankFallback(const std::string &what, const char *reason);
 
 } // namespace detail
 

@@ -13,11 +13,15 @@
 namespace bpsim
 {
 
+// Without a backend (-DBPSIM_DISABLE_SIMD=ON, or no vector ISA on
+// the target) every case below compiles out and only the tier is read.
 bool
-runSimdBank(SimdBankState &state, KernelTier tier,
-            const std::uint64_t *pcs, const std::uint64_t *words,
-            std::size_t total, std::size_t warmup,
-            SimdBankProbe *probe)
+runSimdBank([[maybe_unused]] SimdBankState &state, KernelTier tier,
+            [[maybe_unused]] const std::uint64_t *pcs,
+            [[maybe_unused]] const std::uint64_t *words,
+            [[maybe_unused]] std::size_t total,
+            [[maybe_unused]] std::size_t warmup,
+            [[maybe_unused]] SimdBankProbe *probe)
 {
     switch (tier) {
 #if defined(BPSIM_HAVE_AVX512)

@@ -21,8 +21,11 @@
 #include "campaign/campaign.hh"
 #include "campaign/emitters.hh"
 #include "core/factory.hh"
+#include "core/registry.hh"
 #include "sim/replay.hh"
+#include "sim/replay_kernel.hh"
 #include "sim/simd/kernel_tier.hh"
+#include "sim/simd/simd_bank.hh"
 #include "sim/trace_cache.hh"
 #include "trace/packed_trace.hh"
 #include "workload/generator.hh"
@@ -98,6 +101,49 @@ const std::map<std::string, std::vector<std::string>> kBankSpecs = {
     {"filter", {"filter:n=6,h=4,b=6,k=2", "filter:n=8,h=8,b=8,k=3",
                 "filter:n=10,h=5,b=7,k=6"}},
 };
+
+/** Calls `f.template operator()<Pred>()` once with the predictor
+ *  type of fast-replay kind @p kind; not at all for other kinds. */
+template <typename F>
+void
+withBankType(const std::string &kind, F &&f)
+{
+    forEachPredictorEntry([&]<typename Entry>() {
+        if constexpr (Entry::fastReplay) {
+            if (kind == Entry::kind)
+                f.template operator()<typename Entry::Predictor>();
+        }
+    });
+}
+
+/** A typed bank of @p configs, each of which must build a Pred. */
+template <typename Pred>
+std::vector<Pred>
+typedBank(const std::vector<std::string> &configs)
+{
+    std::vector<Pred> bank;
+    for (const std::string &config : configs) {
+        PredictorPtr made = makePredictor(config);
+        Pred *typed = dynamic_cast<Pred *>(made.get());
+        EXPECT_NE(typed, nullptr) << config;
+        if (typed != nullptr)
+            bank.push_back(std::move(*typed));
+    }
+    return bank;
+}
+
+/** Kinds with a vectorized bank flattening — the only ones where a
+ *  forced SIMD tier actually changes the executed code path and must
+ *  be attributed in SimResult. */
+bool
+kindHasSimdBank(const std::string &kind)
+{
+    bool flattenable = false;
+    withBankType(kind, [&]<typename Pred>() {
+        flattenable = kSimdFlattenable<Pred>;
+    });
+    return flattenable;
+}
 
 TEST(BankCoverage, CoversEveryFastReplayKind)
 {
@@ -195,6 +241,51 @@ TEST_P(BankEquivalence, FusedTimingAttribution)
     }
 }
 
+/**
+ * buildSimdBank() then storeSimdBank(), with no kernel run between
+ * them, must hand every lane its state back: a trained bank is
+ * flattened, reset to power-on and restored from the arenas, then it
+ * and an identically trained twin replay a second, differently
+ * seeded trace to identical counts. Unlike the pass-2 checks this
+ * needs no vector tier, so it runs on every build.
+ */
+TEST_P(BankEquivalence, FlattenThenRestoreIsIdentity)
+{
+    const std::string &kind = GetParam().first;
+    const std::vector<std::string> &configs = GetParam().second;
+    static const MemoryTrace trace =
+        generateWorkloadTrace(bankSpec("bank-round-trip", 31));
+    static const PackedTrace second(trace);
+
+    bool flattenable = false;
+    withBankType(kind, [&]<typename Pred>() {
+        flattenable = true;
+        std::vector<Pred> bank = typedBank<Pred>(configs);
+        std::vector<Pred> twin = typedBank<Pred>(configs);
+        ASSERT_EQ(bank.size(), configs.size());
+        ASSERT_EQ(twin.size(), configs.size());
+        for (std::size_t l = 0; l < configs.size(); ++l) {
+            replayKernel(bank[l], sharedPacked());
+            replayKernel(twin[l], sharedPacked());
+        }
+
+        std::optional<SimdBankState> state = buildSimdBank(bank);
+        ASSERT_TRUE(state.has_value()) << kind;
+        for (Pred &predictor : bank)
+            predictor.reset();
+        storeSimdBank(*state, bank);
+
+        for (std::size_t l = 0; l < configs.size(); ++l) {
+            const SimResult got = replayKernel(bank[l], second);
+            const SimResult want = replayKernel(twin[l], second);
+            EXPECT_EQ(got.mispredictions, want.mispredictions)
+                << configs[l];
+            EXPECT_EQ(got.branches, want.branches) << configs[l];
+        }
+    });
+    EXPECT_TRUE(flattenable) << kind;
+}
+
 std::string
 bankTestName(
     const ::testing::TestParamInfo<
@@ -207,19 +298,6 @@ INSTANTIATE_TEST_SUITE_P(AllFastKinds, BankEquivalence,
                          ::testing::ValuesIn(kBankSpecs.begin(),
                                              kBankSpecs.end()),
                          bankTestName);
-
-/** Kinds with a vectorized bank flattening (buildSimdBank overloads)
- *  — the only ones where a forced SIMD tier actually changes the
- *  executed code path and must be attributed in SimResult. */
-bool
-kindHasSimdBank(const std::string &kind)
-{
-    return kind == "bimodal" || kind == "gshare" || kind == "gag" ||
-           kind == "gas" || kind == "pag" || kind == "pas" ||
-           kind == "bimode" || kind == "agree" ||
-           kind == "tournament" || kind == "gskew" ||
-           kind == "yags" || kind == "filter";
-}
 
 /**
  * Two no-reset banked passes at a forced kernel tier — the
@@ -334,6 +412,47 @@ TEST(BankKernel, SingleLaneIsTimedAlone)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].fusedLanes, 0u);
     EXPECT_GT(results[0].wallNanos, 0u);
+}
+
+/**
+ * A bank mixing history scopes (fusion keys never build one) has no
+ * SIMD flattening: buildSimdBank() refuses it without touching a
+ * lane, and replayKernelBank() runs it on the scalar bank at every
+ * tier, matching the solo kernel.
+ */
+TEST(BankKernel, MixedScopeTwoLevelBankRunsScalar)
+{
+    const std::vector<std::string> configs = {"gag:h=6", "pag:h=5,l=5"};
+    std::vector<TwoLevelPredictor> bank =
+        typedBank<TwoLevelPredictor>(configs);
+    std::vector<TwoLevelPredictor> solo =
+        typedBank<TwoLevelPredictor>(configs);
+    ASSERT_EQ(bank.size(), 2u);
+    ASSERT_EQ(solo.size(), 2u);
+    EXPECT_FALSE(buildSimdBank(bank).has_value());
+
+    // bank and solo start equal (the refusal must not have touched
+    // bank) and advance in step, one pass per tier.
+    for (const KernelTier tier : availableKernelTiers()) {
+        SimConfig config;
+        config.warmupBranches = 500;
+        config.kernelTier = tier;
+        const std::vector<SimResult> fused =
+            replayKernelBank(bank, sharedPacked(), config);
+        ASSERT_EQ(fused.size(), 2u);
+        for (std::size_t l = 0; l < 2; ++l) {
+            const SimResult want =
+                replayKernel(solo[l], sharedPacked(), config);
+            const std::string where =
+                configs[l] + " tier=" + kernelTierName(tier);
+            EXPECT_EQ(fused[l].kernelTier, KernelTier::Scalar) << where;
+            EXPECT_EQ(fused[l].fusedLanes, 2u) << where;
+            EXPECT_EQ(fused[l].mispredictions, want.mispredictions)
+                << where;
+            EXPECT_EQ(fused[l].takenBranches, want.takenBranches)
+                << where;
+        }
+    }
 }
 
 TEST(BankKernel, RefusesUnknownKindUntouched)

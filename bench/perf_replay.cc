@@ -124,8 +124,7 @@ bestBankRun(const BankScenario &scenario, const PackedTrace &packed,
         SimConfig config;
         config.kernelTier = tier;
         std::vector<SimResult> results;
-        if (!replayKernelBankAny(scenario.kind, bank, packed, config,
-                                 results)) {
+        if (!replayKernelBankAny(bank, packed, config, results)) {
             BPSIM_FATAL("bank kernel refused kind '" << scenario.kind
                         << "'");
         }

@@ -69,29 +69,61 @@ Campaign::addGrid(const std::vector<std::string> &configs,
             addJob(config, benchmark, simConfig);
 }
 
+std::vector<JobResult>
+runJobs(const std::vector<const Job *> &jobs)
+{
+    std::vector<JobResult> results(jobs.size());
+    std::vector<PredictorPtr> owned;
+    std::vector<BranchPredictor *> lanes;
+    std::vector<std::size_t> slots;
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const Job &job = *jobs[k];
+        results[k].index = job.index;
+        results[k].benchmark = job.benchmark;
+        results[k].configText = job.configText;
+        PredictorResult made =
+            job.trace == nullptr
+                ? PredictorResult{nullptr, "job has no trace bound"}
+                : tryMakePredictor(job.configText);
+        if (!made.ok()) {
+            results[k].error = std::move(made.error);
+            continue;
+        }
+        lanes.push_back(made.predictor.get());
+        owned.push_back(std::move(made.predictor));
+        slots.push_back(k);
+    }
+    if (lanes.empty())
+        return results;
+
+    // A batch shares one packed trace and SimConfig (the scheduler's
+    // fusion key), so any built lane's job speaks for the bank.
+    const Job &first = *jobs[slots.front()];
+    std::vector<SimResult> sims;
+    if (first.packed == nullptr ||
+        !replayKernelBankAny(lanes, *first.packed, first.simConfig,
+                             sims)) {
+        // No fast core (btfn) or no packed trace: such jobs never
+        // fuse, so this is a lone job on the virtual loop.
+        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+            const Job &job = *jobs[slots[lane]];
+            auto reader = job.trace->reader();
+            sims.push_back(simulate(*lanes[lane], reader, job.simConfig));
+        }
+    }
+    for (std::size_t lane = 0; lane < sims.size(); ++lane) {
+        JobResult &result = results[slots[lane]];
+        result.result = std::move(sims[lane]);
+        result.result.benchmark = result.benchmark;
+        result.result.configText = result.configText;
+    }
+    return results;
+}
+
 JobResult
 runJob(const Job &job)
 {
-    JobResult result;
-    result.index = job.index;
-    result.benchmark = job.benchmark;
-    result.configText = job.configText;
-
-    if (job.trace == nullptr) {
-        result.error = "job has no trace bound";
-        return result;
-    }
-    PredictorResult made = tryMakePredictor(job.configText);
-    if (!made.ok()) {
-        result.error = std::move(made.error);
-        return result;
-    }
-    auto reader = job.trace->reader();
-    result.result = simulateAny(*made.predictor, reader,
-                                job.packed.get(), job.simConfig);
-    result.result.benchmark = job.benchmark;
-    result.result.configText = job.configText;
-    return result;
+    return std::move(runJobs({&job}).front());
 }
 
 std::vector<JobResult>

@@ -25,13 +25,13 @@
  * touches each benchmark's trace once instead of once per rung.
  * Per-branch tracking fuses too (the bank runs with a per-lane
  * probe, sim/probe.hh), though only with jobs that also track — the
- * tracking flag is part of the fusion key. Everything else —
- * heterogeneous kinds, jobs without a packed trace, malformed
- * configs — runs on the classic per-job path. Fusion changes wall time only: per-job counts,
- * errors and emitted JSON are bit-identical to an unfused run
- * (enforced by tests/sim/test_replay_bank.cc), and setFusion(false)
- * forces the per-job path, e.g. to time configurations in
- * isolation.
+ * tracking flag is part of the fusion key. Everything else — a
+ * lone job, `btfn`, jobs without a packed trace, malformed configs —
+ * runs as a one-job batch through the same runner (runJobs()).
+ * Fusion changes wall time only: per-job counts, errors and emitted
+ * JSON are bit-identical to an unfused run (enforced by
+ * tests/sim/test_replay_bank.cc), and setFusion(false) runs every
+ * job alone, e.g. to time configurations in isolation.
  *
  * Configuration errors do not kill a campaign: a job whose config
  * string is rejected by tryMakePredictor() completes with
@@ -94,7 +94,7 @@ struct Job
     /** Shared immutable trace to replay (borrowed or owning; see
      *  BenchmarkTrace::trace). */
     TraceHandle trace = nullptr;
-    /** Packed trace for the fast replay path; may be null (the job
+    /** Packed trace for the replay kernel; may be null (the job
      *  then always uses the virtual simulate() loop). */
     PackedTraceHandle packed = nullptr;
     /** Per-job simulation options (warm-up, per-branch tracking). */
@@ -195,7 +195,18 @@ class Campaign
     bool fuseJobs = true;
 };
 
-/** Runs one job synchronously (the worker-loop body). */
+/**
+ * Runs a batch of jobs synchronously as one bank — the scheduler's
+ * worker-loop body. Builds every job's predictor, landing each
+ * construction error in its own slot, then replays the built
+ * predictors in one pass (sim/replay.hh, replayKernelBankAny()).
+ * A batch of two or more must share one packed trace, fast-replay
+ * kind and SimConfig (the scheduler's fusion key). Results come back
+ * in @p jobs order.
+ */
+std::vector<JobResult> runJobs(const std::vector<const Job *> &jobs);
+
+/** Runs one job synchronously: a one-job runJobs(). */
 JobResult runJob(const Job &job);
 
 /**

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/factory.hh"
-#include "sim/replay.hh"
 #include "util/logging.hh"
 
 namespace bpsim
@@ -21,6 +20,16 @@ namespace
  * smaller chunks keep the worker pool fed.
  */
 constexpr std::size_t kMaxBankLanes = 32;
+
+/** The job's fusion kind: its fast-replay kind when it may share a
+ *  bank, empty when it runs alone. */
+std::string
+fuseKindOf(const Job &job, bool fuse)
+{
+    if (!fuse || job.packed == nullptr || job.trace == nullptr)
+        return {};
+    return fastReplayKind(job.configText);
+}
 
 } // namespace
 
@@ -49,9 +58,7 @@ CampaignScheduler::admit(Job &&job, CompletionFn &&done, bool blocking)
 {
     // Classify for fusion outside the lock (fastReplayKind parses
     // the config text).
-    std::string kind;
-    if (opts.fuse && job.packed != nullptr && job.trace != nullptr)
-        kind = fastReplayKind(job.configText);
+    std::string kind = fuseKindOf(job, opts.fuse);
 
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
@@ -90,12 +97,10 @@ CampaignScheduler::trySubmit(Job job, CompletionFn done)
 std::optional<std::vector<CampaignScheduler::Ticket>>
 CampaignScheduler::trySubmitAll(std::vector<Job> jobs, CompletionFn done)
 {
-    std::vector<std::string> kinds(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const Job &job = jobs[i];
-        if (opts.fuse && job.packed != nullptr && job.trace != nullptr)
-            kinds[i] = fastReplayKind(job.configText);
-    }
+    std::vector<std::string> kinds;
+    kinds.reserve(jobs.size());
+    for (const Job &job : jobs)
+        kinds.push_back(fuseKindOf(job, opts.fuse));
 
     std::unique_lock<std::mutex> lock(mu);
     if (stopping)
@@ -258,21 +263,6 @@ CampaignScheduler::takeBatch(std::unique_lock<std::mutex> &lock)
     return batch;
 }
 
-namespace
-{
-
-/**
- * Runs one fused batch: constructs every job's predictor, banks the
- * successes through replayKernelBankAny(), and lands construction
- * errors exactly as the per-job path would. Falls back to per-job
- * runs if the bank refuses the batch (which batching should make
- * impossible).
- */
-std::vector<JobResult>
-runFusedBatch(const std::string &kind, const std::vector<Job *> &jobs);
-
-} // namespace
-
 void
 CampaignScheduler::workerLoop()
 {
@@ -289,16 +279,11 @@ CampaignScheduler::workerLoop()
         std::vector<Pending> batch = takeBatch(lock);
         lock.unlock();
 
-        std::vector<JobResult> results;
-        if (batch.size() == 1 && batch.front().fuseKind.empty()) {
-            results.push_back(runJob(batch.front().job));
-        } else {
-            std::vector<Job *> jobs;
-            jobs.reserve(batch.size());
-            for (Pending &pending : batch)
-                jobs.push_back(&pending.job);
-            results = runFusedBatch(batch.front().fuseKind, jobs);
-        }
+        std::vector<const Job *> jobs;
+        jobs.reserve(batch.size());
+        for (const Pending &pending : batch)
+            jobs.push_back(&pending.job);
+        std::vector<JobResult> results = runJobs(jobs);
 
         {
             // One callback at a time, scheduler-wide: completion
@@ -342,56 +327,5 @@ CampaignScheduler::deliver(const Pending &pending, JobResult result)
                    << " threw; result dropped for that ticket only");
     }
 }
-
-namespace
-{
-
-std::vector<JobResult>
-runFusedBatch(const std::string &kind, const std::vector<Job *> &jobs)
-{
-    std::vector<JobResult> results(jobs.size());
-    std::vector<PredictorPtr> owned;
-    std::vector<BranchPredictor *> bank;
-    std::vector<std::size_t> lane_slot;
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-        const Job &job = *jobs[k];
-        JobResult &result = results[k];
-        result.index = job.index;
-        result.benchmark = job.benchmark;
-        result.configText = job.configText;
-        PredictorResult made = tryMakePredictor(job.configText);
-        if (!made.ok()) {
-            result.error = std::move(made.error);
-            continue;
-        }
-        bank.push_back(made.predictor.get());
-        owned.push_back(std::move(made.predictor));
-        lane_slot.push_back(k);
-    }
-
-    std::vector<SimResult> sims;
-    const Job &first = *jobs.front();
-    if (bank.empty() ||
-        !replayKernelBankAny(kind, bank, *first.packed, first.simConfig,
-                             sims)) {
-        if (!bank.empty()) {
-            BPSIM_WARN("bank kernel refused fused batch of kind '"
-                       << kind << "'; running jobs singly");
-            for (std::size_t k = 0; k < jobs.size(); ++k)
-                results[k] = runJob(*jobs[k]);
-        }
-        return results;
-    }
-
-    for (std::size_t lane = 0; lane < sims.size(); ++lane) {
-        JobResult &result = results[lane_slot[lane]];
-        result.result = std::move(sims[lane]);
-        result.result.benchmark = result.benchmark;
-        result.result.configText = result.configText;
-    }
-    return results;
-}
-
-} // namespace
 
 } // namespace bpsim

@@ -189,8 +189,8 @@ class CampaignScheduler
     {
         Ticket ticket = 0;
         Job job;
-        /** Fast-replay kind when the job is fusable; empty pins the
-         *  job to the per-job path. Computed once at admission. */
+        /** Fast-replay kind when the job is fusable; empty runs
+         *  the job alone. Computed once at admission. */
         std::string fuseKind;
         CompletionFn done;
     };

@@ -30,9 +30,10 @@ BiModePredictor::BiModePredictor(const BiModeConfig &config)
                          SaturatingCounter::weaklyTaken(cfg.counterWidth))}
 {
     if (cfg.historyBits > cfg.directionIndexBits)
-        BPSIM_FATAL("bi-mode history (" << cfg.historyBits
-                    << " bits) cannot exceed the direction index width ("
-                    << cfg.directionIndexBits << " bits)");
+        BPSIM_CONFIG_ERROR(
+            "bi-mode history (" << cfg.historyBits
+            << " bits) cannot exceed the direction index width ("
+            << cfg.directionIndexBits << " bits)");
 }
 
 PredictionDetail

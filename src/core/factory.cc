@@ -114,7 +114,7 @@ namespace
 /**
  * Registry fold replacing the old hand-written if-chain: the first
  * entry whose kind matches validates the spec against its schema and
- * builds. Throws SpecError on unknown kinds, unknown or missing
+ * builds. Throws ConfigError on unknown kinds, unknown or missing
  * parameter keys, and builder-detected configuration errors.
  */
 PredictorPtr
@@ -130,7 +130,7 @@ build(const PredictorSpec &spec)
         predictor = Entry::build(spec);
     });
     if (!matched)
-        throw SpecError{"unknown predictor kind '" + spec.kind + "'"};
+        throw ConfigError("unknown predictor kind '" + spec.kind + "'");
     return predictor;
 }
 
@@ -141,8 +141,8 @@ tryMakePredictor(const PredictorSpec &spec)
 {
     try {
         return {build(spec), {}};
-    } catch (const SpecError &err) {
-        return {nullptr, err.message};
+    } catch (const ConfigError &err) {
+        return {nullptr, err.what()};
     }
 }
 
@@ -171,6 +171,24 @@ makePredictor(const PredictorSpec &spec)
     if (!result.ok())
         BPSIM_FATAL(result.error);
     return std::move(result.predictor);
+}
+
+std::vector<std::string>
+splitConfigList(const std::string &text)
+{
+    std::vector<std::string> configs;
+    std::istringstream is(text);
+    std::string piece;
+    while (std::getline(is, piece, ',')) {
+        const bool continues = !configs.empty() &&
+                               piece.find('=') != std::string::npos &&
+                               piece.find(':') == std::string::npos;
+        if (continues)
+            configs.back() += "," + piece;
+        else if (!piece.empty())
+            configs.push_back(piece);
+    }
+    return configs;
 }
 
 std::vector<std::string>

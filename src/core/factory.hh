@@ -112,6 +112,15 @@ PredictorPtr makePredictor(const std::string &configText);
  *  error. */
 PredictorPtr makePredictor(const PredictorSpec &spec);
 
+/**
+ * Splits a comma-separated list of predictor configs. Parameters are
+ * comma-separated too, so a piece that holds `=` but no `:`
+ * continues the config before it: `gshare:n=8,h=9,bimodal:n=6` is
+ * the two configs `gshare:n=8,h=9` and `bimodal:n=6`. Empty pieces
+ * are dropped.
+ */
+std::vector<std::string> splitConfigList(const std::string &text);
+
 /** The list of recognized predictor kinds (for help texts), in
  *  registry order. */
 std::vector<std::string> knownPredictorKinds();

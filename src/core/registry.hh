@@ -16,18 +16,28 @@
  * Every dispatch site in the system is a fold over this list:
  * core/factory.cc derives construction, parameter validation,
  * knownPredictorKinds(), hasFastReplay() and the grammar help text;
- * sim/replay.cc derives the typed kernel dispatch for both the solo
- * and the banked replay paths. Adding a predictor kind is therefore
- * exactly two steps — give the type a fast core (or not) and append
- * one entry here — and the factory, the replay kernels, the campaign
- * fusion scheduler and the registry-driven tests all pick it up with
- * no further code.
+ * sim/replay.cc derives the one typed kernel dispatch that serves
+ * solo, probed and banked runs. Adding a predictor kind is therefore
+ * exactly two steps — give the type a fast core and append one entry
+ * here — and the factory, the replay kernels, the campaign fusion
+ * scheduler and the registry-driven tests all pick it up with no
+ * further code.
+ *
+ * Every kind that reads only (pc, outcome) has a fast core. The one
+ * exception is `btfn`: it learns from branch targets
+ * (observeTarget()), which packed traces do not carry, so it runs on
+ * the virtual simulate() loop.
  *
  * The entries are plain structs with static members rather than
  * runtime registration so the replay layer can instantiate the
  * templated kernels per concrete type: the `fastReplay` flag is a
  * `constexpr` bool precisely so `if constexpr` folds can skip
- * kernel instantiation for types without a fast core.
+ * kernel instantiation for the type without a fast core.
+ *
+ * Builders, parameter validation and the predictor constructors
+ * report configuration errors by throwing ConfigError
+ * (util/logging.hh); tryMakePredictor() in core/factory.cc catches
+ * it, so it never escapes the factory.
  */
 
 #ifndef BPSIM_CORE_REGISTRY_HH
@@ -49,6 +59,7 @@
 #include "predictors/tournament.hh"
 #include "predictors/twolevel.hh"
 #include "predictors/yags.hh"
+#include "util/logging.hh"
 
 namespace bpsim
 {
@@ -65,16 +76,6 @@ struct ParamSpec
     const char *doc;
 };
 
-/**
- * Thrown by registry builders and parameter validation on
- * configuration errors; caught and converted to a PredictorResult by
- * tryMakePredictor() in core/factory.cc. Never escapes the factory.
- */
-struct SpecError
-{
-    std::string message;
-};
-
 /** Schema-checked required-parameter lookup for builders. Validation
  *  runs before any builder, so this only fires if an entry's builder
  *  requires a key its schema forgot to declare. */
@@ -83,8 +84,8 @@ requireParam(const PredictorSpec &spec, const char *key)
 {
     const auto it = spec.params.find(key);
     if (it == spec.params.end())
-        throw SpecError{"predictor '" + spec.kind +
-                        "' requires parameter " + key + "=<value>"};
+        throw ConfigError("predictor '" + spec.kind +
+                          "' requires parameter " + key + "=<value>");
     return it->second;
 }
 
@@ -99,7 +100,7 @@ struct TakenEntry
     static constexpr const char *kind = "taken";
     static constexpr const char *doc = "static always-taken baseline";
     static constexpr const char *example = "taken";
-    static constexpr bool fastReplay = false;
+    static constexpr bool fastReplay = true;
     static constexpr std::array<ParamSpec, 0> params{};
 
     static PredictorPtr
@@ -115,7 +116,7 @@ struct NotTakenEntry
     static constexpr const char *kind = "nottaken";
     static constexpr const char *doc = "static always-not-taken baseline";
     static constexpr const char *example = "nottaken";
-    static constexpr bool fastReplay = false;
+    static constexpr bool fastReplay = true;
     static constexpr std::array<ParamSpec, 0> params{};
 
     static PredictorPtr
@@ -432,7 +433,7 @@ struct PerceptronEntry
     static constexpr const char *doc =
         "table-of-perceptrons predictor (Jimenez & Lin, HPCA 2001)";
     static constexpr const char *example = "perceptron:n=8,h=24";
-    static constexpr bool fastReplay = false;
+    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the perceptron table"},
         {"h", false, "global history bits == weights (default 24)"},
@@ -533,7 +534,7 @@ acceptedKeyList()
  * Validates @p spec against @p Entry's schema: every key must be
  * declared (misspelled keys like `gshare:hist=12` used to fall back
  * to defaults silently) and every required key must be present.
- * Throws SpecError; runs before the entry's builder.
+ * Throws ConfigError; runs before the entry's builder.
  */
 template <typename Entry>
 void
@@ -551,15 +552,15 @@ validateSpecParams(const PredictorSpec &spec)
             else
                 message +=
                     " (accepted keys: " + acceptedKeyList<Entry>() + ")";
-            throw SpecError{std::move(message)};
+            throw ConfigError(message);
         }
     }
     for (const ParamSpec &param : Entry::params) {
         if (param.required &&
             spec.params.find(param.key) == spec.params.end())
-            throw SpecError{"predictor '" + spec.kind +
-                            "' requires parameter " + param.key +
-                            "=<value>"};
+            throw ConfigError("predictor '" + spec.kind +
+                              "' requires parameter " + param.key +
+                              "=<value>");
     }
 }
 

@@ -16,7 +16,7 @@ AgreePredictor::AgreePredictor(const AgreeConfig &config)
       biasValid(std::size_t{1} << cfg.biasIndexBits, 0)
 {
     if (cfg.historyBits > cfg.indexBits)
-        BPSIM_FATAL("agree history cannot exceed the index width");
+        BPSIM_CONFIG_ERROR("agree history cannot exceed the index width");
 }
 
 PredictionDetail

@@ -31,14 +31,26 @@ namespace bpsim
  * @param bits index width to validate
  * @param what predictor name for the error message
  * @return 2^bits
+ * @throws ConfigError when @p bits exceeds 28
  */
 inline std::size_t
-checkedTableEntries(unsigned bits, const char *what)
+checkedTableEntries(std::uint64_t bits, const char *what)
 {
     if (bits > 28)
-        BPSIM_FATAL(what << " table of 2^" << bits
-                    << " entries is unreasonably large");
+        BPSIM_CONFIG_ERROR(what << " table of 2^" << bits
+                           << " entries is unreasonably large");
     return std::size_t{1} << bits;
+}
+
+/** Validates a saturating-counter width; throws ConfigError outside
+ *  1..8. */
+inline unsigned
+checkedCounterWidth(unsigned bits)
+{
+    if (bits < 1 || bits > 8)
+        BPSIM_CONFIG_ERROR("counter width " << bits
+                           << " out of range 1..8");
+    return bits;
 }
 
 /** A single n-bit saturating up/down counter. */
@@ -51,11 +63,9 @@ class SaturatingCounter
      *                range
      */
     explicit SaturatingCounter(unsigned bits = 2, unsigned initial = 0)
-        : widthBits(bits),
+        : widthBits(checkedCounterWidth(bits)),
           maxValue(static_cast<std::uint8_t>(maskBits(bits)))
     {
-        if (bits < 1 || bits > 8)
-            BPSIM_PANIC("counter width " << bits << " out of range 1..8");
         current = initial > maxValue
             ? maxValue : static_cast<std::uint8_t>(initial);
     }
@@ -113,7 +123,7 @@ class CounterTable
      * @param initial start value of every counter
      */
     CounterTable(std::size_t entries, unsigned bits, std::uint8_t initial)
-        : widthBits(bits),
+        : widthBits(checkedCounterWidth(bits)),
           maxValue(static_cast<std::uint8_t>(maskBits(bits))),
           initialValue(initial > maxValue ? maxValue : initial),
           values(entries, initialValue)
@@ -121,8 +131,6 @@ class CounterTable
         if (!isPowerOfTwo(entries))
             BPSIM_PANIC("counter table size " << entries
                         << " is not a power of two");
-        if (bits < 1 || bits > 8)
-            BPSIM_PANIC("counter width " << bits << " out of range 1..8");
     }
 
     void

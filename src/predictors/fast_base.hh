@@ -4,7 +4,9 @@
  * predictor's devirtualized fast core.
  *
  * Every kernel-eligible predictor (core/registry.hh entries with
- * fastReplay) implements a non-virtual core —
+ * fastReplay: every kind except btfn, which learns from branch
+ * targets the packed traces do not carry) implements a non-virtual
+ * core —
  *
  *   PredictionDetail detailFast(pc) const   full-provenance predict
  *   void updateFast(pc, taken)              state transition
@@ -20,7 +22,10 @@
  *
  * Bimodal, gshare and tournament also keep a direction-only
  * predictFast(pc): tournament's updateFast() and stepFast() predict
- * through it and their components'.
+ * through it and their components'. A stepFast() computes each
+ * lookup once for both the prediction and the update — perceptron's
+ * dot product, for one, which the virtual predict-then-update loop
+ * computes twice.
  *
  * The overrides are final: a predictor that needs different virtual
  * behaviour than its fast core has, by definition, no fast core and

@@ -18,9 +18,9 @@ FilterPredictor::FilterPredictor(const FilterConfig &config)
           SaturatingCounter::weaklyTaken(cfg.counterWidth))
 {
     if (cfg.historyBits > cfg.indexBits)
-        BPSIM_FATAL("filter history cannot exceed the PHT index width");
+        BPSIM_CONFIG_ERROR("filter history cannot exceed the PHT index width");
     if (cfg.filterCounterBits < 1 || cfg.filterCounterBits > 8)
-        BPSIM_FATAL("filter run counter must be 1..8 bits");
+        BPSIM_CONFIG_ERROR("filter run counter must be 1..8 bits");
     filter.resize(
         checkedTableEntries(cfg.filterIndexBits, "filter table"));
 }

@@ -13,9 +13,9 @@ GsharePredictor::GsharePredictor(unsigned indexBits, unsigned historyBits,
                SaturatingCounter::weaklyTaken(counterWidth))
 {
     if (historyBits > indexBits)
-        BPSIM_FATAL("gshare history (" << historyBits
-                    << " bits) cannot exceed the index width ("
-                    << indexBits << " bits)");
+        BPSIM_CONFIG_ERROR("gshare history (" << historyBits
+                           << " bits) cannot exceed the index width ("
+                           << indexBits << " bits)");
 }
 
 PredictionDetail

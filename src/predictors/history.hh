@@ -13,11 +13,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "predictors/counter.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace bpsim
 {
+
+/** Validates a history register width; throws ConfigError above 64
+ *  bits. */
+inline unsigned
+checkedHistoryBits(unsigned bits)
+{
+    if (bits > 64)
+        BPSIM_CONFIG_ERROR("history width " << bits << " exceeds 64");
+    return bits;
+}
 
 /** An m-bit outcome shift register (1 = taken). */
 class HistoryRegister
@@ -25,10 +36,8 @@ class HistoryRegister
   public:
     /** @param bits register width, 0..64 (0 = degenerate, always 0) */
     explicit HistoryRegister(unsigned bits)
-        : widthBits(bits), mask(maskBits(bits))
+        : widthBits(checkedHistoryBits(bits)), mask(maskBits(bits))
     {
-        if (bits > 64)
-            BPSIM_PANIC("history width " << bits << " exceeds 64");
     }
 
     /** Shifts in the newest outcome at the low end. */
@@ -73,12 +82,10 @@ class LocalHistoryTable
      * @param bits width of each register
      */
     LocalHistoryTable(unsigned entriesLog2, unsigned bits)
-        : indexBits(entriesLog2), widthBits(bits),
+        : indexBits(entriesLog2), widthBits(checkedHistoryBits(bits)),
           mask(maskBits(bits)),
-          table(std::size_t{1} << entriesLog2, 0)
+          table(checkedTableEntries(entriesLog2, "local history"), 0)
     {
-        if (bits > 64)
-            BPSIM_PANIC("history width " << bits << " exceeds 64");
     }
 
     /** Index of the register serving @p pc (pc is a byte address of a

@@ -9,17 +9,17 @@ namespace bpsim
 {
 
 PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
-    : cfg(config),
-      history(cfg.historyBits),
-      threshold(static_cast<std::int32_t>(
-          std::floor(1.93 * cfg.historyBits + 14.0))),
-      weightMax((1 << (cfg.weightBits - 1)) - 1),
-      weightMin(-(1 << (cfg.weightBits - 1)))
+    : cfg(config), history(cfg.historyBits)
 {
+    // Checked before the weight range is derived from weightBits.
     if (cfg.historyBits == 0 || cfg.historyBits > 63)
-        BPSIM_FATAL("perceptron history must be 1..63 bits");
+        BPSIM_CONFIG_ERROR("perceptron history must be 1..63 bits");
     if (cfg.weightBits < 2 || cfg.weightBits > 16)
-        BPSIM_FATAL("perceptron weights must be 2..16 bits");
+        BPSIM_CONFIG_ERROR("perceptron weights must be 2..16 bits");
+    threshold =
+        static_cast<std::int32_t>(std::floor(1.93 * cfg.historyBits + 14.0));
+    weightMax = (1 << (cfg.weightBits - 1)) - 1;
+    weightMin = -(1 << (cfg.weightBits - 1));
     const std::size_t entries =
         checkedTableEntries(cfg.tableIndexBits, "perceptron");
     weights.assign(entries * (cfg.historyBits + 1), 0);
@@ -52,7 +52,7 @@ PerceptronPredictor::outputFor(std::uint64_t pc) const
 }
 
 PredictionDetail
-PerceptronPredictor::predictDetailed(std::uint64_t pc) const
+PerceptronPredictor::detailFast(std::uint64_t pc) const
 {
     PredictionDetail detail;
     detail.taken = outputFor(pc) >= 0;
@@ -63,9 +63,8 @@ PerceptronPredictor::predictDetailed(std::uint64_t pc) const
 }
 
 void
-PerceptronPredictor::update(std::uint64_t pc, bool taken)
+PerceptronPredictor::train(std::uint64_t pc, std::int32_t y, bool taken)
 {
-    const std::int32_t y = outputFor(pc);
     const bool prediction = y >= 0;
     // Train on a misprediction or while the output magnitude has not
     // cleared the confidence threshold.
@@ -92,7 +91,7 @@ PerceptronPredictor::update(std::uint64_t pc, bool taken)
 }
 
 void
-PerceptronPredictor::reset()
+PerceptronPredictor::resetFast()
 {
     history.clear();
     std::fill(weights.begin(), weights.end(), 0);

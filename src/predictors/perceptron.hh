@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "predictors/fast_base.hh"
 #include "predictors/history.hh"
 #include "predictors/predictor.hh"
 
@@ -41,14 +42,13 @@ struct PerceptronConfig
 };
 
 /** Table-of-perceptrons global-history predictor. */
-class PerceptronPredictor : public BranchPredictor
+class PerceptronPredictor : public FastPredictorBase<PerceptronPredictor>
 {
   public:
     explicit PerceptronPredictor(const PerceptronConfig &config);
 
-    PredictionDetail predictDetailed(std::uint64_t pc) const override;
-    void update(std::uint64_t pc, bool taken) override;
-    void reset() override;
+    PredictionDetail detailFast(std::uint64_t pc) const;
+    void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
     std::uint64_t counterBits() const override;
@@ -64,14 +64,35 @@ class PerceptronPredictor : public BranchPredictor
      *  and confidence studies; prediction is y >= 0). */
     std::int32_t outputFor(std::uint64_t pc) const;
 
+    /** The state transition of update(). */
+    void
+    updateFast(std::uint64_t pc, bool taken)
+    {
+        train(pc, outputFor(pc), taken);
+    }
+
+    /** Fused predict + update: the dot product is computed once and
+     *  serves both the prediction and the training decision. */
+    bool
+    stepFast(std::uint64_t pc, bool taken)
+    {
+        const std::int32_t y = outputFor(pc);
+        train(pc, y, taken);
+        return y >= 0;
+    }
+
   private:
     std::int32_t weightAt(std::size_t perceptron, unsigned i) const;
 
+    /** Trains the perceptron of @p pc, whose output was @p y, on
+     *  @p taken and shifts the outcome into the history. */
+    void train(std::uint64_t pc, std::int32_t y, bool taken);
+
     PerceptronConfig cfg;
     HistoryRegister history;
-    std::int32_t threshold;
-    std::int32_t weightMax;
-    std::int32_t weightMin;
+    std::int32_t threshold = 0;
+    std::int32_t weightMax = 0;
+    std::int32_t weightMin = 0;
     /** Row-major: perceptron p's weights at [p * (h+1) .. +h]; index
      *  0 is the bias weight. */
     std::vector<std::int16_t> weights;

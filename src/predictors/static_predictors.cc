@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "predictors/counter.hh"
 #include "predictors/history.hh"
 
 namespace bpsim
@@ -10,7 +11,7 @@ namespace bpsim
 
 BtfnPredictor::BtfnPredictor(unsigned entriesLog2)
     : indexBits(entriesLog2),
-      sense(std::size_t{1} << entriesLog2, 0)
+      sense(checkedTableEntries(entriesLog2, "btfn"), 0)
 {
 }
 

@@ -3,6 +3,10 @@
  * Stateless baseline predictors: always-taken, always-not-taken, and
  * backward-taken/forward-not-taken (BTFN). These anchor the accuracy
  * comparisons and exercise the no-counter path of the analysis code.
+ *
+ * BTFN is the one predictor kind without a fast core: it learns from
+ * observeTarget(), and the packed traces the replay kernel streams
+ * carry no branch targets, so it runs on the virtual simulate() loop.
  */
 
 #ifndef BPSIM_PREDICTORS_STATIC_PREDICTORS_HH
@@ -10,42 +14,42 @@
 
 #include <vector>
 
+#include "predictors/fast_base.hh"
 #include "predictors/predictor.hh"
 
 namespace bpsim
 {
 
-/** Predicts every branch taken. */
-class AlwaysTakenPredictor : public BranchPredictor
+/**
+ * Predicts every branch @p Taken. The fast core is the whole
+ * predictor: nothing is learned, so the replay kernel's step is a
+ * constant.
+ */
+template <bool Taken>
+class ConstantPredictor : public FastPredictorBase<ConstantPredictor<Taken>>
 {
   public:
     PredictionDetail
-    predictDetailed(std::uint64_t) const override
+    detailFast(std::uint64_t) const
     {
-        return PredictionDetail{true, false, 0, 0};
+        return PredictionDetail{Taken, false, 0, 0};
     }
 
-    void update(std::uint64_t, bool) override {}
-    void reset() override {}
-    std::string name() const override { return "always-taken"; }
+    void updateFast(std::uint64_t, bool) {}
+    bool stepFast(std::uint64_t, bool) { return Taken; }
+    void resetFast() {}
+
+    std::string
+    name() const override
+    {
+        return Taken ? "always-taken" : "always-not-taken";
+    }
+
     std::uint64_t storageBits() const override { return 0; }
 };
 
-/** Predicts every branch not taken. */
-class AlwaysNotTakenPredictor : public BranchPredictor
-{
-  public:
-    PredictionDetail
-    predictDetailed(std::uint64_t) const override
-    {
-        return PredictionDetail{false, false, 0, 0};
-    }
-
-    void update(std::uint64_t, bool) override {}
-    void reset() override {}
-    std::string name() const override { return "always-not-taken"; }
-    std::uint64_t storageBits() const override { return 0; }
-};
+using AlwaysTakenPredictor = ConstantPredictor<true>;
+using AlwaysNotTakenPredictor = ConstantPredictor<false>;
 
 /**
  * Backward-taken / forward-not-taken.

@@ -8,8 +8,9 @@ namespace bpsim
 TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     : cfg(config),
       globalHistory(cfg.scope == HistoryScope::Global ? cfg.historyBits : 0),
-      counters(checkedTableEntries(cfg.historyBits + cfg.pcBits,
-                                   "two-level"),
+      counters(checkedTableEntries(
+                   std::uint64_t{cfg.historyBits} + cfg.pcBits,
+                   "two-level"),
                cfg.counterWidth,
                SaturatingCounter::weaklyTaken(cfg.counterWidth))
 {

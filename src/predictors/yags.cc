@@ -15,9 +15,9 @@ YagsPredictor::YagsPredictor(const YagsConfig &config)
              SaturatingCounter::weaklyTaken(cfg.counterWidth))
 {
     if (cfg.historyBits > cfg.cacheIndexBits)
-        BPSIM_FATAL("YAGS history cannot exceed the cache index width");
+        BPSIM_CONFIG_ERROR("YAGS history cannot exceed the cache index width");
     if (cfg.tagBits > 16)
-        BPSIM_FATAL("YAGS tags wider than 16 bits are not supported");
+        BPSIM_CONFIG_ERROR("YAGS tags wider than 16 bits are not supported");
     const std::size_t cache_entries =
         checkedTableEntries(cfg.cacheIndexBits, "YAGS cache");
     caches[0].resize(cache_entries);

@@ -23,6 +23,7 @@
 #include "analysis/h2p.hh"
 #include "campaign/campaign.hh"
 #include "campaign/emitters.hh"
+#include "core/factory.hh"
 #include "serve/client.hh"
 #include "trace/trace_store.hh"
 #include "util/args.hh"
@@ -165,8 +166,9 @@ main(int argc, char **argv)
     args.addOption("id", "campaign",
                    "campaign id echoed on every event");
     args.addOption("configs", "",
-                   "comma-separated predictor configs "
-                   "(e.g. gshare:n=10,bimode:d=9)");
+                   "comma-separated predictor configs; a key=value "
+                   "piece continues the config before it (e.g. "
+                   "gshare:n=10,h=8,bimode:d=9)");
     args.addOption("benchmarks", "",
                    "comma-separated benchmark names (e.g. go,compress)");
     args.addOption("warmup", "0",
@@ -194,7 +196,7 @@ main(int argc, char **argv)
 
     serve::CampaignRequest request;
     request.id = args.get("id");
-    request.configs = splitCommas(args.get("configs"));
+    request.configs = splitConfigList(args.get("configs"));
     request.benchmarks = splitCommas(args.get("benchmarks"));
     request.divisor = opts.quickDivisor();
     request.warmup = args.getUint("warmup");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/registry.hh"
 #include "sim/probe.hh"
@@ -17,9 +18,10 @@ namespace
 /**
  * Typed leg of replayKernelBankAny(): casts the group, moves the
  * instances into a contiguous std::vector<Pred> bank, runs the
- * banked kernel, and moves the replayed state back into the callers'
- * objects. The cast pass completes before any move, so a mixed group
- * is rejected without disturbing anyone's state.
+ * banked kernel (the solo kernel at one lane), and moves the
+ * replayed state back into the callers' objects. The cast pass
+ * completes before any move, so a mixed group is rejected without
+ * disturbing anyone's state.
  *
  * When the run asks for per-branch detail the bank runs with a
  * PerBranchBankProbe: one PcIndex over the trace serves every lane,
@@ -72,69 +74,47 @@ runBank(const std::vector<BranchPredictor *> &predictors,
 } // namespace
 
 bool
-replayKernelBankAny(const std::string &kind,
-                    const std::vector<BranchPredictor *> &predictors,
+replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                     const PackedTrace &packed, const SimConfig &config,
                     std::vector<SimResult> &results)
 {
-    // Registry fold: the banked kernel is instantiated once per
-    // fast-replay entry, selected by the group's kind string. A new
-    // registry entry with fastReplay set is picked up here (and in
-    // simulateAny() below) with no further wiring.
-    bool handled = false;
+    if (predictors.empty())
+        return false;
+    // Registry fold: one dynamic_cast per entry per *run* (not per
+    // branch) finds the first lane's concrete type and selects its
+    // kernel instantiation. Entries sharing a C++ type (the
+    // two-level taxonomy kinds) resolve to the first match. A new
+    // registry entry with fastReplay set is picked up here with no
+    // further wiring.
+    bool matched = false;
+    bool ran = false;
     forEachPredictorEntry([&]<typename Entry>() {
         if constexpr (Entry::fastReplay) {
-            if (!handled && kind == Entry::kind) {
-                handled = runBank<typename Entry::Predictor>(
-                    predictors, packed, config, results);
+            using Pred = typename Entry::Predictor;
+            // The kernel never calls observeTarget(): packed traces
+            // carry no branch targets.
+            static_assert(
+                std::is_same_v<decltype(&Pred::observeTarget),
+                               decltype(&BranchPredictor::observeTarget)>,
+                "a fast-replay predictor must not override "
+                "observeTarget()");
+            if (!matched && dynamic_cast<Pred *>(predictors.front())) {
+                matched = true;
+                ran = runBank<Pred>(predictors, packed, config, results);
             }
         }
     });
-    return handled;
+    return ran;
 }
 
 SimResult
 simulateAny(BranchPredictor &predictor, TraceReader &trace,
             const PackedTrace *packed, const SimConfig &config)
 {
-    // One dynamic_cast per *run* (not per branch) selects the
-    // concrete kernel instantiation via a registry fold. Entries
-    // sharing a C++ type (the two-level taxonomy kinds) resolve to
-    // the same instantiation; the first match wins. Per-branch runs
-    // take the same kernel with a PerBranchProbe instantiation.
-    if (packed) {
-        SimResult result;
-        bool ran = false;
-        forEachPredictorEntry([&]<typename Entry>() {
-            if constexpr (Entry::fastReplay) {
-                if (ran)
-                    return;
-                if (auto *p = dynamic_cast<typename Entry::Predictor *>(
-                        &predictor)) {
-                    if (config.trackPerBranch) {
-                        const PcIndex index(*packed);
-                        const std::size_t total = packed->size();
-                        const std::size_t warmup = std::min<std::size_t>(
-                            config.warmupBranches, total);
-                        const PcIndex::RangeCounts counts =
-                            index.countRange(*packed, warmup, total);
-                        std::vector<std::uint64_t> misses(
-                            index.staticCount(), 0);
-                        const PerBranchProbe probe{index.idData(),
-                                                   misses.data()};
-                        result = replayKernel(*p, *packed, config, probe);
-                        result.perBranch = assemblePerBranch(
-                            index, counts, misses.data());
-                    } else {
-                        result = replayKernel(*p, *packed, config);
-                    }
-                    ran = true;
-                }
-            }
-        });
-        if (ran)
-            return result;
-    }
+    std::vector<SimResult> results;
+    if (packed != nullptr &&
+        replayKernelBankAny({&predictor}, *packed, config, results))
+        return std::move(results.front());
     return simulate(predictor, trace, config);
 }
 

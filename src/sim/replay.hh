@@ -1,16 +1,21 @@
 /**
  * @file
- * Replay-path dispatch: one entry point that picks the fastest
- * bit-identical way to run a predictor over a trace.
+ * Replay-path dispatch: one registry fold that runs any group of
+ * same-type predictors over a trace by the fastest bit-identical
+ * path.
  *
- * simulateAny() routes a run to the devirtualized replay kernel
- * (sim/replay_kernel.hh) when the predictor's concrete type has one;
- * everything else falls back to the virtual simulate() loop. Runs
- * that ask for per-branch detail (SimConfig::trackPerBranch) take the
- * same kernel with a PerBranchProbe (sim/probe.hh) instead of being
- * forced onto the virtual path. Callers never need to know which path
- * was taken — results, including the per-branch table, are
- * bit-identical by contract.
+ * replayKernelBankAny() finds the group's concrete type by
+ * dynamic_cast and runs the devirtualized kernel
+ * (sim/replay_kernel.hh) over it: the solo kernel at one lane, the
+ * banked kernel at more. simulateAny() is its one-lane call, falling
+ * back to the virtual simulate() loop only when there is no packed
+ * trace or the predictor has no fast core — which, among the
+ * registry kinds, is `btfn` alone (it learns from branch targets,
+ * and packed traces carry none). Runs that ask for per-branch detail
+ * (SimConfig::trackPerBranch) take the same kernel with a per-branch
+ * probe (sim/probe.hh). Callers never need to know which path was
+ * taken — results, including the per-branch table, are bit-identical
+ * by contract.
  *
  * The kind classification lives in core/factory
  * (hasFastReplay()); this dispatcher lives in sim because it depends
@@ -20,7 +25,6 @@
 #ifndef BPSIM_SIM_REPLAY_HH
 #define BPSIM_SIM_REPLAY_HH
 
-#include <string>
 #include <vector>
 
 #include "predictors/predictor.hh"
@@ -50,10 +54,11 @@ SimResult simulateAny(BranchPredictor &predictor, TraceReader &trace,
                       const SimConfig &config = {});
 
 /**
- * Banked replay of a same-kind predictor group: one pass over
- * @p packed steps every instance (sim/replay_kernel.hh,
- * replayKernelBank()), bit-identical per instance to a lone
- * replayKernel() run.
+ * Replays a group of predictors of one concrete fast-replay type in
+ * one pass over @p packed (sim/replay_kernel.hh,
+ * replayKernelBank()). A one-lane group runs the solo kernel with
+ * its undivided timing; wider groups are bit-identical per instance
+ * to a lone run.
  *
  * The instances' state is moved into a contiguous bank for the pass
  * and moved back afterwards, so on success each predictors[i] holds
@@ -61,16 +66,12 @@ SimResult simulateAny(BranchPredictor &predictor, TraceReader &trace,
  * counts (with the shared-pass timing attribution described at
  * SimResult::wallNanos).
  *
- * @param kind the factory kind every instance was built from; must
- *        be a fastReplayKind() (core/factory.hh)
- * @param predictors the group, all non-null and all of @p kind
- * @return true when the bank ran; false when @p kind has no bank
- *         kernel or an instance is not of that concrete type — the
- *         group is then untouched and the caller falls back to
- *         per-instance simulateAny()
+ * @param predictors the group, all non-null
+ * @return true when the group ran; false when it is empty, its first
+ *         instance has no fast core, or its instances are not all of
+ *         one concrete type — the group is then untouched
  */
-bool replayKernelBankAny(const std::string &kind,
-                         const std::vector<BranchPredictor *> &predictors,
+bool replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                          const PackedTrace &packed,
                          const SimConfig &config,
                          std::vector<SimResult> &results);

@@ -20,7 +20,9 @@
  *    records (whose predictions are discarded) can skip prediction
  *    entirely and only train;
  *  - none of the kernel-eligible predictor kinds override
- *    observeTarget(), so the target-observation call is omitted.
+ *    observeTarget(), so the target-observation call is omitted
+ *    (a static_assert in the sim/replay.cc registry fold holds
+ *    every fast-replay type to this).
  *
  * tests/sim/test_replay.cc enforces the contract for every
  * factory-constructible spec.
@@ -196,56 +198,50 @@ replaySimdBank(std::vector<Pred> &bank, const PackedTrace &packed,
                std::size_t warmup, KernelTier tier, BankProbe probe,
                std::uint64_t *mispredictions, std::uint64_t &nanos)
 {
-    if constexpr (!kSimdFlattenable<Pred>) {
-        logSimdBankFallback(bank.front().name(),
-                            "kind has no SIMD flattening");
+    std::optional<SimdBankState> simd = buildSimdBank(bank);
+    if (!simd)
         return false;
-    } else {
-        std::optional<SimdBankState> simd = buildSimdBank(bank);
-        if (!simd)
-            return false;
-        // Probed runs need the per-lane uint32 misprediction arena on
-        // top of the counter arenas.
-        SimdBankProbe simd_probe;
-        SimdBankProbe *probe_ptr = nullptr;
-        if constexpr (BankProbe::kEnabled) {
-            if (!buildSimdBankProbe(simd_probe, probe.ids,
-                                    probe.staticCount, *simd,
-                                    packed.size())) {
-                logSimdBankFallback(
-                    bank.front().name(),
-                    "per-branch probe arena exceeds the 32-bit sink");
-                return false;
-            }
-            probe_ptr = &simd_probe;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        if (!runSimdBank(*simd, tier, packed.pcData(), packed.wordData(),
-                         packed.size(), warmup, probe_ptr)) {
-            // Resolution checks availability, so this shouldn't
-            // happen; the scalar bank is always a correct answer.
+    // Probed runs need the per-lane uint32 misprediction arena on
+    // top of the counter arenas.
+    SimdBankProbe simd_probe;
+    SimdBankProbe *probe_ptr = nullptr;
+    if constexpr (BankProbe::kEnabled) {
+        if (!buildSimdBankProbe(simd_probe, probe.ids,
+                                probe.staticCount, *simd,
+                                packed.size())) {
             logSimdBankFallback(
                 bank.front().name(),
-                "resolved tier has no backend in this binary");
+                "per-branch probe arena exceeds the 32-bit sink");
             return false;
         }
-        nanos = elapsedNanos(start);
-        storeSimdBank(*simd, bank);
-        std::copy(simd->mispredictions.begin(),
-                  simd->mispredictions.end(), mispredictions);
-        if constexpr (BankProbe::kEnabled) {
-            // Widen the pass's uint32 counters into the probe's
-            // per-lane uint64 blocks.
-            for (std::size_t l = 0; l < bank.size(); ++l) {
-                const std::uint32_t *src =
-                    simd_probe.arena.data() + simd_probe.laneBase[l];
-                std::uint64_t *dst = probe.lane(l).misses;
-                for (std::size_t k = 0; k < simd_probe.staticCount; ++k)
-                    dst[k] += src[k];
-            }
-        }
-        return true;
+        probe_ptr = &simd_probe;
     }
+    const auto start = std::chrono::steady_clock::now();
+    if (!runSimdBank(*simd, tier, packed.pcData(), packed.wordData(),
+                     packed.size(), warmup, probe_ptr)) {
+        // Resolution checks availability, so this shouldn't
+        // happen; the scalar bank is always a correct answer.
+        logSimdBankFallback(
+            bank.front().name(),
+            "resolved tier has no backend in this binary");
+        return false;
+    }
+    nanos = elapsedNanos(start);
+    storeSimdBank(*simd, bank);
+    std::copy(simd->mispredictions.begin(),
+              simd->mispredictions.end(), mispredictions);
+    if constexpr (BankProbe::kEnabled) {
+        // Widen the pass's uint32 counters into the probe's
+        // per-lane uint64 blocks.
+        for (std::size_t l = 0; l < bank.size(); ++l) {
+            const std::uint32_t *src =
+                simd_probe.arena.data() + simd_probe.laneBase[l];
+            std::uint64_t *dst = probe.lane(l).misses;
+            for (std::size_t k = 0; k < simd_probe.staticCount; ++k)
+                dst[k] += src[k];
+        }
+    }
+    return true;
 }
 
 /**

@@ -13,6 +13,8 @@
 #include "predictors/filter.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
+#include "predictors/perceptron.hh"
+#include "predictors/static_predictors.hh"
 #include "predictors/tournament.hh"
 #include "predictors/twolevel.hh"
 #include "predictors/yags.hh"
@@ -357,9 +359,31 @@ historyRefusal(unsigned historyBits, unsigned maxBits = 31)
  * Constructors cap every index at <= 28 bits through the table
  * sizes; the refusals enforce the lane-math limits independently, so
  * a loosened cap refuses rather than truncates.
+ *
+ * The primary template is the layout of a kind that has none (the
+ * static kinds, perceptron): its refuse() turns every such bank
+ * away, so these kinds link and run the scalar bank.
  */
 template <typename Pred>
-struct Flatten;
+struct Flatten
+{
+    static_assert(!kSimdFlattenable<Pred>,
+                  "a kSimdFlattenable type needs its Flatten layout");
+
+    static constexpr bool kPacked = false;
+    static constexpr SimdChoiceKind kChoice = SimdChoiceKind::None;
+
+    static const char *
+    refuse(Pred &, Pred &)
+    {
+        return "kind has no SIMD flattening";
+    }
+
+    template <typename Io>
+    static void state(Io &, Pred &) {}
+
+    static void constants(SimdBankState &, std::size_t, Pred &) {}
+};
 
 template <>
 struct Flatten<BimodalPredictor>
@@ -775,7 +799,6 @@ template <typename Pred>
 std::optional<SimdBankState>
 buildSimdBank(std::vector<Pred> &bank)
 {
-    static_assert(kSimdFlattenable<Pred>);
     using Layout = Flatten<Pred>;
     if (bank.empty())
         return std::nullopt;
@@ -832,43 +855,27 @@ storeSimdBank(const SimdBankState &state, std::vector<Pred> &bank)
     }
 }
 
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<BimodalPredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<GsharePredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<TwoLevelPredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<BiModePredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<AgreePredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<TournamentPredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<GskewPredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<YagsPredictor> &);
-template std::optional<SimdBankState>
-buildSimdBank(std::vector<FilterPredictor> &);
+// Every fast-replay type links both entry points; the ones without a
+// lane layout are refused by the primary Flatten.
+#define BPSIM_INSTANTIATE_SIMD_BANK(Pred)                                 \
+    template std::optional<SimdBankState> buildSimdBank(                  \
+        std::vector<Pred> &);                                             \
+    template void storeSimdBank(const SimdBankState &, std::vector<Pred> &);
 
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<BimodalPredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<GsharePredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<TwoLevelPredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<BiModePredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<AgreePredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<TournamentPredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<GskewPredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<YagsPredictor> &);
-template void storeSimdBank(const SimdBankState &,
-                            std::vector<FilterPredictor> &);
+BPSIM_INSTANTIATE_SIMD_BANK(AlwaysTakenPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(AlwaysNotTakenPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(BimodalPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(GsharePredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(TwoLevelPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(BiModePredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(AgreePredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(TournamentPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(GskewPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(YagsPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(PerceptronPredictor)
+BPSIM_INSTANTIATE_SIMD_BANK(FilterPredictor)
+
+#undef BPSIM_INSTANTIATE_SIMD_BANK
 
 bool
 buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,

@@ -69,8 +69,9 @@
  * table lives. buildSimdBank() returns std::nullopt whenever the
  * bank shape is outside what 32-bit gather indices (or the formula
  * above) can express; the caller then falls back to the scalar
- * bank. Kinds without a flattening (kSimdFlattenable false) compile
- * straight to the scalar bank.
+ * bank. It links for every fast-replay type: kinds without a
+ * flattening (kSimdFlattenable false: the static kinds and
+ * perceptron) are refused there, in one place.
  */
 
 #ifndef BPSIM_SIM_SIMD_SIMD_BANK_HH
@@ -306,9 +307,9 @@ struct SimdBankState
 
 /**
  * True for the predictor types with a SIMD flattening — the types
- * buildSimdBank() and storeSimdBank() are instantiated for
- * (simd_bank.cc states each one's lane layout once). Other kinds
- * compile to the scalar bank (replayKernelBank()).
+ * simd_bank.cc states a lane layout for. buildSimdBank() refuses
+ * every other fast-replay type, whose banks then run the scalar bank
+ * (replayKernelBank()).
  */
 template <typename Pred>
 constexpr bool kSimdFlattenable =
@@ -327,11 +328,12 @@ constexpr bool kSimdFlattenable =
  * out of the predictors. The predictors themselves are not modified
  * until storeSimdBank(). Returns std::nullopt (logged once through
  * detail::logSimdBankFallback()) when the bank cannot be expressed:
- * arena over 2^31 elements, history, tag or hash field wider than
- * the 32-bit lane math, a non-standard tournament pairing, mixed
- * history scopes.
+ * a kind with no SIMD flattening, arena over 2^31 elements, history,
+ * tag or hash field wider than the 32-bit lane math, a non-standard
+ * tournament pairing, mixed history scopes.
  *
- * @tparam Pred a kSimdFlattenable type
+ * @tparam Pred any fast-replay predictor type (simd_bank.cc
+ *         instantiates every one)
  */
 template <typename Pred>
 std::optional<SimdBankState> buildSimdBank(std::vector<Pred> &bank);

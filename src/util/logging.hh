@@ -4,13 +4,15 @@
  *
  * fatal() terminates on user error (bad configuration, bad input
  * file); panic() terminates on an internal invariant violation.
- * warn() and inform() print to stderr and continue.
+ * warn() and inform() print to stderr and continue. A configuration
+ * error a caller can recover from is thrown as a ConfigError instead.
  */
 
 #ifndef BPSIM_UTIL_LOGGING_HH
 #define BPSIM_UTIL_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace bpsim
@@ -45,6 +47,16 @@ std::string location(const char *file, int line);
 
 } // namespace detail
 
+/**
+ * An out-of-range or malformed configuration. Predictor constructors
+ * and the predictor registry throw it; tryMakePredictor() turns it
+ * into a per-job error and makePredictor() into fatal().
+ */
+struct ConfigError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 /** Global verbosity switch: when false, inform() output is dropped. */
 void setVerbose(bool verbose);
 bool verbose();
@@ -60,6 +72,14 @@ bool verbose();
             ::bpsim::LogLevel::Fatal,                                     \
             ::bpsim::detail::location(__FILE__, __LINE__).c_str(),        \
             bpsim_oss_.str());                                            \
+    } while (0)
+
+/** Throw a ConfigError with a streamed message. */
+#define BPSIM_CONFIG_ERROR(msg)                                           \
+    do {                                                                  \
+        std::ostringstream bpsim_oss_;                                    \
+        bpsim_oss_ << msg;                                                \
+        throw ::bpsim::ConfigError(bpsim_oss_.str());                     \
     } while (0)
 
 /** Report an internal invariant violation and abort(). */

@@ -300,6 +300,53 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
     }
 }
 
+TEST(CampaignScheduler, FusedBatchKeepsEachLaneErrorInItsSlot)
+{
+    // One fused gshare batch whose middle lanes fail to construct (a
+    // range error and a history wider than the index): each error
+    // lands in its own job's slot, and the lanes that built run as
+    // one bank with the counts of solo runs.
+    const MemoryTrace trace = mixedTrace(30'000, 23);
+    const PackedTrace packed(trace);
+    const std::vector<std::string> configs = {
+        "gshare:n=7", "gshare:n=8", "gshare:n=29", "gshare:n=8,h=9",
+        "gshare:n=10"};
+
+    CampaignScheduler scheduler(CampaignScheduler::Options{1, true, 0, true});
+    Sink sink;
+    std::vector<CampaignScheduler::Ticket> tickets;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto ticket = scheduler.submit(
+            makeJob(i, configs[i], "bench", trace, &packed), sink.fn());
+        ASSERT_TRUE(ticket.has_value());
+        tickets.push_back(*ticket);
+    }
+    scheduler.drain();
+    EXPECT_EQ(scheduler.stats().fusedBanks, 1u);
+    ASSERT_EQ(sink.results.size(), configs.size());
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const JobResult &got = sink.results.at(tickets[i]);
+        EXPECT_EQ(got.index, i);
+        EXPECT_EQ(got.configText, configs[i]);
+        if (i == 2 || i == 3) {
+            EXPECT_FALSE(got.ok()) << configs[i];
+            continue;
+        }
+        ASSERT_TRUE(got.ok()) << configs[i] << ": " << got.error;
+        EXPECT_EQ(got.result.fusedLanes, 3u) << configs[i];
+        const JobResult solo =
+            runJob(makeJob(i, configs[i], "bench", trace, nullptr));
+        EXPECT_EQ(got.result.mispredictions, solo.result.mispredictions)
+            << configs[i];
+        EXPECT_EQ(got.result.branches, solo.result.branches);
+    }
+    EXPECT_NE(sink.results.at(tickets[2]).error.find("unreasonably large"),
+              std::string::npos);
+    EXPECT_NE(sink.results.at(tickets[3]).error.find("cannot exceed"),
+              std::string::npos);
+}
+
 TEST(CampaignScheduler, PauseHoldsWorkAndResumeReleasesIt)
 {
     const MemoryTrace trace = mixedTrace(1'000, 23);

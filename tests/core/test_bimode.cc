@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/bimode.hh"
+#include "core/factory.hh"
 #include "predictors/gshare.hh"
 
 namespace bpsim
@@ -269,8 +270,9 @@ TEST(BiModeDeath, HistoryWiderThanDirectionIndexIsFatal)
     BiModeConfig cfg;
     cfg.directionIndexBits = 4;
     cfg.historyBits = 5;
-    EXPECT_EXIT(BiModePredictor{cfg}, ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    EXPECT_THROW(BiModePredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("bimode:d=4,h=5"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
 }
 
 /** Canonical configs across sizes keep every invariant. */

@@ -168,7 +168,8 @@ TEST(CounterTableDeath, NonPowerOfTwoPanics)
 
 TEST(CounterTableDeath, ZeroWidthPanics)
 {
-    EXPECT_DEATH(CounterTable(16, 0, 0), "out of range");
+    EXPECT_THROW(CounterTable(16, 0, 0), ConfigError);
+    EXPECT_THROW(SaturatingCounter(9), ConfigError);
 }
 
 } // namespace

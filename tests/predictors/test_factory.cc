@@ -139,6 +139,58 @@ TEST(FactoryTry, ParseErrorPropagates)
     EXPECT_NE(result.error.find("not a number"), std::string::npos);
 }
 
+TEST(FactoryTry, OutOfRangeValuesAreErrorsNotExits)
+{
+    // Every parameter of every kind, pushed past any limit: each
+    // config must build a small predictor or come back as an error —
+    // never exit, abort, or allocate a huge table. A daemon builds
+    // every client's configs in-process.
+    for (const PredictorKindInfo &info : predictorKindInfos()) {
+        for (const ParamInfo &param : info.params) {
+            for (const unsigned value : {29u, 64u, 65u, 4294967295u}) {
+                PredictorSpec spec =
+                    PredictorSpec::tryParse(info.example).spec;
+                spec.params[param.key] = value;
+                const PredictorResult made = tryMakePredictor(spec);
+                const std::string where =
+                    info.example + " " + param.key + "=" +
+                    std::to_string(value);
+                if (made.ok()) {
+                    EXPECT_LT(made.predictor->storageBits(),
+                              std::uint64_t{1} << 26)
+                        << where;
+                } else {
+                    EXPECT_FALSE(made.error.empty()) << where;
+                }
+            }
+        }
+    }
+    const PredictorResult made = tryMakePredictor("bimodal:n=29");
+    EXPECT_FALSE(made.ok());
+    EXPECT_NE(made.error.find("unreasonably large"), std::string::npos)
+        << made.error;
+    EXPECT_FALSE(tryMakePredictor("btfn:l=64").ok());
+    EXPECT_FALSE(tryMakePredictor("gshare:n=8,h=9").ok());
+    EXPECT_FALSE(tryMakePredictor("bimodal:n=8,w=9").ok());
+}
+
+TEST(FactoryConfigList, MultiParameterConfigsStayWhole)
+{
+    EXPECT_EQ(splitConfigList("gshare:n=8,h=9"),
+              (std::vector<std::string>{"gshare:n=8,h=9"}));
+    EXPECT_EQ(splitConfigList("bimode:d=9,gshare:n=10"),
+              (std::vector<std::string>{"bimode:d=9", "gshare:n=10"}));
+    EXPECT_EQ(
+        splitConfigList("gshare:n=8,h=6,taken,,yags:c=8,n=6,t=4"),
+        (std::vector<std::string>{"gshare:n=8,h=6", "taken",
+                                  "yags:c=8,n=6,t=4"}));
+    // A leading parameter has no config to continue: it stays a
+    // config of its own (and fails as one).
+    EXPECT_EQ(splitConfigList("h=9,bimodal:n=4"),
+              (std::vector<std::string>{"h=9", "bimodal:n=4"}));
+    EXPECT_TRUE(splitConfigList("").empty());
+}
+
 TEST(FactoryTry, GoodConfigBuilds)
 {
     const PredictorResult result = tryMakePredictor("gshare:n=10");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/filter.hh"
 
 namespace bpsim
@@ -131,12 +132,14 @@ TEST(FilterDeath, BadConfigIsFatal)
 {
     FilterConfig cfg = tinyConfig();
     cfg.historyBits = 5;
-    EXPECT_EXIT(FilterPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    EXPECT_THROW(FilterPredictor{cfg}, ConfigError);
     cfg = tinyConfig();
     cfg.filterCounterBits = 0;
-    EXPECT_EXIT(FilterPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "run counter");
+    EXPECT_THROW(FilterPredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("filter:n=4,h=5"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
+    EXPECT_EXIT(makePredictor("filter:n=4,k=0"),
+                ::testing::ExitedWithCode(1), "run counter");
 }
 
 } // namespace

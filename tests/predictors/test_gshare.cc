@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
 
@@ -135,8 +136,9 @@ TEST(Gshare, NameIncludesConfig)
 
 TEST(GshareDeath, HistoryWiderThanIndexIsFatal)
 {
-    EXPECT_EXIT(GsharePredictor(8, 9), ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    EXPECT_THROW(GsharePredictor(8, 9), ConfigError);
+    EXPECT_EXIT(makePredictor("gshare:n=8,h=9"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
 }
 
 /** Parameterized: detail counter ids stay in range across configs. */

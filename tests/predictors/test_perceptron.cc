@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/perceptron.hh"
 
 namespace bpsim
@@ -145,12 +146,14 @@ TEST(PerceptronDeath, BadConfigIsFatal)
 {
     PerceptronConfig cfg = smallConfig();
     cfg.historyBits = 0;
-    EXPECT_EXIT(PerceptronPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "history");
+    EXPECT_THROW(PerceptronPredictor{cfg}, ConfigError);
     cfg = smallConfig();
     cfg.weightBits = 1;
-    EXPECT_EXIT(PerceptronPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "weights");
+    EXPECT_THROW(PerceptronPredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("perceptron:n=4,h=0"),
+                ::testing::ExitedWithCode(1), "history");
+    EXPECT_EXIT(makePredictor("perceptron:n=4,w=1"),
+                ::testing::ExitedWithCode(1), "weights");
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/twolevel.hh"
 
 namespace bpsim
@@ -115,7 +116,8 @@ TEST(TwoLevel, ResetRestoresInitialPredictions)
 
 TEST(TwoLevelDeath, OversizedIndexIsFatal)
 {
-    EXPECT_EXIT(TwoLevelPredictor(makeGAs(20, 20)),
+    EXPECT_THROW(TwoLevelPredictor(makeGAs(20, 20)), ConfigError);
+    EXPECT_EXIT(makePredictor("gas:h=20,a=20"),
                 ::testing::ExitedWithCode(1), "unreasonably large");
 }
 

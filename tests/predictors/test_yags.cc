@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/yags.hh"
 
 namespace bpsim
@@ -148,8 +149,9 @@ TEST(YagsDeath, HistoryWiderThanCacheIndexIsFatal)
     YagsConfig cfg;
     cfg.cacheIndexBits = 4;
     cfg.historyBits = 6;
-    EXPECT_EXIT(YagsPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    EXPECT_THROW(YagsPredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("yags:c=4,n=4,h=6"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
 }
 
 } // namespace

@@ -282,6 +282,30 @@ TEST_F(ServeTest, UnknownBenchmarkAndBadConfigArePerClientFailures)
     EXPECT_EQ(runServed(client, request), offlineReference(request, 1));
 }
 
+TEST_F(ServeTest, RangeErrorConfigsArePerJobErrorsAndTheDaemonSurvives)
+{
+    startServer(testOptions("range"));
+    ServeClient client = connectClient();
+
+    // Each of these fails inside a predictor constructor; each must
+    // come back as that job's "ok":false record.
+    CampaignRequest request;
+    request.id = "range";
+    request.configs = {"bimodal:n=29", "gshare:n=8,h=9",
+                       "perceptron:n=6,h=64", "btfn:l=64",
+                       "bimode:d=8,w=9", "pag:h=6,l=40", "gshare:n=8"};
+    request.benchmarks = {"tiny_a"};
+    const std::string served = runServed(client, request);
+    EXPECT_EQ(served, offlineReference(request, 1));
+    EXPECT_NE(served.find("unreasonably large"), std::string::npos)
+        << served;
+
+    // A second campaign on the same daemon runs normally.
+    request.id = "after-range";
+    request.configs = {"gshare:n=8", "bimodal:n=7"};
+    EXPECT_EQ(runServed(client, request), offlineReference(request, 1));
+}
+
 TEST_F(ServeTest, OversizedAndOverCapacityCampaignsAreRejectedWhole)
 {
     auto opts = testOptions("capacity");

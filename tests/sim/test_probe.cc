@@ -267,9 +267,8 @@ TEST(Probe, BankMatchesVirtualLoopAcrossTiers)
             SimConfig tierConfig = simConfig;
             tierConfig.kernelTier = tier;
             std::vector<SimResult> results;
-            ASSERT_TRUE(replayKernelBankAny("gshare", bank,
-                                            sharedPacked(), tierConfig,
-                                            results));
+            ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(),
+                                            tierConfig, results));
             ASSERT_EQ(results.size(), lanes);
             for (std::size_t l = 0; l < lanes; ++l) {
                 const std::string where =

@@ -100,6 +100,13 @@ const std::map<std::string, std::vector<std::string>> kBankSpecs = {
                     "tournament:n=8"}},
     {"filter", {"filter:n=6,h=4,b=6,k=2", "filter:n=8,h=8,b=8,k=3",
                 "filter:n=10,h=5,b=7,k=6"}},
+    // Lanes differ in table size, history length and weight width,
+    // so the weight clamps and the training threshold vary per lane.
+    {"perceptron", {"perceptron:n=5,h=12", "perceptron:n=6,h=8,w=6",
+                    "perceptron:n=4,h=20,w=4"}},
+    // The static kinds take no parameters: their lanes are alike.
+    {"taken", {"taken", "taken"}},
+    {"nottaken", {"nottaken", "nottaken", "nottaken"}},
 };
 
 /** Calls `f.template operator()<Pred>()` once with the predictor
@@ -160,9 +167,11 @@ TEST(BankCoverage, FastReplayKindIntrospection)
 {
     EXPECT_EQ(fastReplayKind("gshare:n=8,h=4"), "gshare");
     EXPECT_EQ(fastReplayKind("bimode:d=7"), "bimode");
-    // Parseable but no bank kernel.
-    EXPECT_EQ(fastReplayKind("perceptron:n=5,h=12"), "");
-    EXPECT_EQ(fastReplayKind("taken"), "");
+    EXPECT_EQ(fastReplayKind("perceptron:n=5,h=12"), "perceptron");
+    EXPECT_EQ(fastReplayKind("taken"), "taken");
+    EXPECT_EQ(fastReplayKind("nottaken"), "nottaken");
+    // Parseable but no fast core: btfn is the only such kind.
+    EXPECT_EQ(fastReplayKind("btfn:l=8"), "");
     // Unparseable.
     EXPECT_EQ(fastReplayKind("gshare:n=notanumber"), "");
     EXPECT_EQ(fastReplayKind("no-such-kind"), "");
@@ -177,7 +186,6 @@ class BankEquivalence
 
 TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
 {
-    const std::string &kind = GetParam().first;
     const std::vector<std::string> &configs = GetParam().second;
 
     std::vector<PredictorPtr> banked;
@@ -196,8 +204,8 @@ TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
     // moved every lane's state back bit-identically.
     for (int pass = 1; pass <= 2; ++pass) {
         std::vector<SimResult> fused;
-        ASSERT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(),
-                                        sim_config, fused));
+        ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(), sim_config,
+                                        fused));
         ASSERT_EQ(fused.size(), configs.size());
 
         for (std::size_t l = 0; l < configs.size(); ++l) {
@@ -220,7 +228,6 @@ TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
 
 TEST_P(BankEquivalence, FusedTimingAttribution)
 {
-    const std::string &kind = GetParam().first;
     const std::vector<std::string> &configs = GetParam().second;
 
     std::vector<PredictorPtr> owned;
@@ -231,8 +238,7 @@ TEST_P(BankEquivalence, FusedTimingAttribution)
     }
 
     std::vector<SimResult> fused;
-    ASSERT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(), {},
-                                    fused));
+    ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(), {}, fused));
     for (const SimResult &result : fused) {
         // Every lane shared one pass of `lanes` width and reports an
         // equal share of its wall time.
@@ -270,6 +276,11 @@ TEST_P(BankEquivalence, FlattenThenRestoreIsIdentity)
         }
 
         std::optional<SimdBankState> state = buildSimdBank(bank);
+        if constexpr (!kSimdFlattenable<Pred>) {
+            // Refused, in buildSimdBank() itself: nothing to restore.
+            EXPECT_FALSE(state.has_value()) << kind;
+            return;
+        }
         ASSERT_TRUE(state.has_value()) << kind;
         for (Pred &predictor : bank)
             predictor.reset();
@@ -326,8 +337,8 @@ runTierPasses(const std::string &kind,
 
     std::array<std::vector<SimResult>, 2> passes;
     for (auto &results : passes) {
-        EXPECT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(),
-                                        config, results))
+        EXPECT_TRUE(replayKernelBankAny(bank, sharedPacked(), config,
+                                        results))
             << kind << " lanes=" << lanes << " tier="
             << kernelTierName(tier);
     }
@@ -407,8 +418,7 @@ TEST(BankKernel, SingleLaneIsTimedAlone)
     PredictorPtr predictor = makePredictor("gshare:n=8");
     std::vector<BranchPredictor *> bank = {predictor.get()};
     std::vector<SimResult> results;
-    ASSERT_TRUE(replayKernelBankAny("gshare", bank, sharedPacked(), {},
-                                    results));
+    ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(), {}, results));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].fusedLanes, 0u);
     EXPECT_GT(results[0].wallNanos, 0u);
@@ -457,11 +467,10 @@ TEST(BankKernel, MixedScopeTwoLevelBankRunsScalar)
 
 TEST(BankKernel, RefusesUnknownKindUntouched)
 {
-    PredictorPtr predictor = makePredictor("perceptron:n=5,h=12");
+    PredictorPtr predictor = makePredictor("btfn:l=8");
     std::vector<BranchPredictor *> bank = {predictor.get()};
     std::vector<SimResult> results;
-    EXPECT_FALSE(replayKernelBankAny("perceptron", bank, sharedPacked(),
-                                     {}, results));
+    EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
     EXPECT_TRUE(results.empty());
 }
 
@@ -473,8 +482,7 @@ TEST(BankKernel, RefusesMixedGroupWithoutDisturbingState)
     std::vector<BranchPredictor *> bank = {gshare_a.get(),
                                            bimode.get()};
     std::vector<SimResult> results;
-    EXPECT_FALSE(replayKernelBankAny("gshare", bank, sharedPacked(), {},
-                                     results));
+    EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
 
     // The refused instance must still behave like an untouched one.
     auto reader_a = sharedTrace().reader();
@@ -528,15 +536,16 @@ TEST(BankCampaign, FusedMatchesUnfusedByteForByte)
         cache, {bankSpec("bank-a", 3), bankSpec("bank-b", 4)});
 
     // A grid that exercises every scheduling path at once: a fusable
-    // ladder, further fusable kinds (including the registry-promoted
-    // filter and gag), a non-fast kind (virtual loop), and a config
-    // error.
+    // ladder, further fusable kinds (including filter, gag and the
+    // scalar-bank perceptron), the one kind without a fast core
+    // (btfn, virtual loop), a config error and a range error.
     const std::vector<std::string> configs = {
         "gshare:n=6,h=3",  "gshare:n=8,h=4", "gshare:n=10,h=5",
         "bimode:d=7",      "perceptron:n=5,h=12",
+        "perceptron:n=6,h=8", "btfn:l=8",
         "filter:n=8,h=8,b=8,k=3", "filter:n=6,h=4,b=6,k=2",
         "gag:h=8",         "gag:h=10",
-        "gshare:n=oops",
+        "gshare:n=oops",   "gshare:n=8,h=9",
     };
     expectFusedMatchesUnfused(configs, benchmarks, 0, 1);
 }

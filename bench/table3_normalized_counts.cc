@@ -102,7 +102,9 @@ main(int argc, char **argv)
             chosen->counterId);
         std::sort(streams.begin(), streams.end(),
                   [](const StreamStats *a, const StreamStats *b) {
-                      return a->count > b->count;
+                      if (a->count != b->count)
+                          return a->count > b->count;
+                      return a->pc < b->pc;
                   });
         if (streams.size() > 12)
             streams.resize(12);

@@ -71,16 +71,16 @@ BiasAnalysis::breakdown() const
     if (simResult.branches == 0)
         return breakdown;
     std::uint64_t st = 0, snt = 0, wb = 0;
-    for (const StreamStats *stream : tracker.allStreams()) {
-        switch (stream->biasClass(threshold)) {
+    for (const StreamStats &stream : tracker.streams()) {
+        switch (stream.biasClass(threshold)) {
           case BiasClass::StronglyTaken:
-            st += stream->mispredictions;
+            st += stream.mispredictions;
             break;
           case BiasClass::StronglyNotTaken:
-            snt += stream->mispredictions;
+            snt += stream.mispredictions;
             break;
           case BiasClass::WeaklyBiased:
-            wb += stream->mispredictions;
+            wb += stream.mispredictions;
             break;
         }
     }
@@ -92,81 +92,61 @@ BiasAnalysis::breakdown() const
 }
 
 TransitionCounts
-BiasAnalysis::countTransitions()
+BiasAnalysis::countTransitions() const
 {
     ensureRan();
 
     // The role of a class at a counter depends on the counter's
-    // dominant class; precompute it per counter.
-    const std::uint64_t num_counters = predictor.directionCounters();
-    std::vector<BiasClass> dominant(
-        static_cast<std::size_t>(num_counters), BiasClass::StronglyTaken);
-    {
-        std::vector<std::uint64_t> st(static_cast<std::size_t>(num_counters),
-                                      0);
-        std::vector<std::uint64_t> snt(
-            static_cast<std::size_t>(num_counters), 0);
-        for (const StreamStats *stream : tracker.allStreams()) {
-            const auto c = static_cast<std::size_t>(stream->counterId);
-            switch (stream->biasClass(threshold)) {
-              case BiasClass::StronglyTaken:
-                st[c] += stream->count;
-                break;
-              case BiasClass::StronglyNotTaken:
-                snt[c] += stream->count;
-                break;
-              case BiasClass::WeaklyBiased:
-                break;
-            }
-        }
-        for (std::size_t c = 0; c < dominant.size(); ++c) {
-            dominant[c] = snt[c] > st[c] ? BiasClass::StronglyNotTaken
-                                         : BiasClass::StronglyTaken;
+    // dominant class: tally each counter's strongly-biased traffic,
+    // then fix every stream's role once.
+    const std::vector<StreamStats> &streams = tracker.streams();
+    const auto num_counters =
+        static_cast<std::size_t>(predictor.directionCounters());
+    std::vector<std::uint64_t> st(num_counters, 0), snt(num_counters, 0);
+    for (const StreamStats &stream : streams) {
+        const auto c = static_cast<std::size_t>(stream.counterId);
+        switch (stream.biasClass(threshold)) {
+          case BiasClass::StronglyTaken:
+            st[c] += stream.count;
+            break;
+          case BiasClass::StronglyNotTaken:
+            snt[c] += stream.count;
+            break;
+          case BiasClass::WeaklyBiased:
+            break;
         }
     }
 
     enum class Role : std::uint8_t { Dominant, NonDominant, Weak, None };
-    std::vector<Role> last(static_cast<std::size_t>(num_counters),
-                           Role::None);
+    std::vector<Role> role(streams.size());
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        const BiasClass cls = streams[i].biasClass(threshold);
+        const auto c = static_cast<std::size_t>(streams[i].counterId);
+        const BiasClass dominant = snt[c] > st[c]
+                                       ? BiasClass::StronglyNotTaken
+                                       : BiasClass::StronglyTaken;
+        role[i] = cls == BiasClass::WeaklyBiased ? Role::Weak
+                  : cls == dominant              ? Role::Dominant
+                                                 : Role::NonDominant;
+    }
 
-    auto role_of = [&](BiasClass cls, std::size_t counter) {
-        if (cls == BiasClass::WeaklyBiased)
-            return Role::Weak;
-        return cls == dominant[counter] ? Role::Dominant
-                                        : Role::NonDominant;
-    };
-
-    // Replay pass: the predictors are deterministic, so a reset +
-    // rewind reproduces the exact counter assignment sequence.
-    predictor.reset();
-    trace.rewind();
+    // Walk the recorded steps: a run of one role at a counter ends
+    // whenever the counter next serves a stream of another role.
+    std::vector<Role> last(num_counters, Role::None);
     TransitionCounts counts;
-    BranchRecord record;
-    while (trace.next(record)) {
-        if (!record.isConditional())
-            continue;
-        const PredictionDetail detail = predictor.predictDetailed(record.pc);
-        if (detail.usesCounter) {
-            const StreamStats *stream =
-                tracker.find(record.pc, detail.counterId);
-            if (!stream)
-                BPSIM_PANIC("replay diverged: unseen stream for pc 0x"
-                            << std::hex << record.pc);
-            const auto c = static_cast<std::size_t>(detail.counterId);
-            const Role role = role_of(stream->biasClass(threshold), c);
-            if (last[c] != Role::None && last[c] != role) {
-                // A run of last[c]'s class at this counter was broken.
-                switch (last[c]) {
-                  case Role::Dominant: ++counts.dominant; break;
-                  case Role::NonDominant: ++counts.nonDominant; break;
-                  case Role::Weak: ++counts.weak; break;
-                  case Role::None: break;
-                }
+    for (const StreamStep step : tracker.steps()) {
+        const Role now = role[step.stream()];
+        Role &prev = last[static_cast<std::size_t>(
+            streams[step.stream()].counterId)];
+        if (prev != Role::None && prev != now) {
+            switch (prev) {
+              case Role::Dominant: ++counts.dominant; break;
+              case Role::NonDominant: ++counts.nonDominant; break;
+              case Role::Weak: ++counts.weak; break;
+              case Role::None: break;
             }
-            last[c] = role;
         }
-        predictor.observeTarget(record.pc, record.target);
-        predictor.update(record.pc, record.taken);
+        prev = now;
     }
     return counts;
 }

@@ -8,10 +8,11 @@
  *  - the misprediction breakdown by bias class (Figures 7/8),
  *  - the bias-class transition counts (Table 4).
  *
- * The transition count needs the classes — which are only known
- * after the whole run — so it replays the trace a second time
- * against a reset predictor (all predictors here are deterministic,
- * so the replay reproduces the same counter assignments).
+ * run() is the one pass that drives the predictor. It records every
+ * counter-served branch as a step (stream, outcome, miss) in the
+ * StreamTracker; the transition count, which needs the classes that
+ * are only known after the whole run, walks those steps afterwards
+ * instead of replaying the trace.
  */
 
 #ifndef BPSIM_ANALYSIS_BIAS_ANALYSIS_HH
@@ -62,20 +63,20 @@ class BiasAnalysis
 {
   public:
     /**
-     * @param predictor analyzed predictor; reset before each pass
-     * @param trace trace to analyze; rewound before each pass
+     * @param predictor analyzed predictor; reset before the pass
+     * @param trace trace to analyze; rewound before the pass
      * @param threshold bias-class threshold (paper: 0.9)
      */
     BiasAnalysis(BranchPredictor &predictor, TraceReader &trace,
                  double threshold = 0.9);
 
-    /** Executes pass 1 (idempotent). */
+    /** Executes the pass (idempotent). */
     void run();
 
-    /** The substream decomposition (pass 1 must have run). */
+    /** The substream decomposition and its steps (run() first). */
     const StreamTracker &streams() const { return tracker; }
 
-    /** Overall accuracy result of pass 1. */
+    /** Overall accuracy result of the pass. */
     const SimResult &result() const { return simResult; }
 
     /** Per-counter bias profile. */
@@ -84,8 +85,8 @@ class BiasAnalysis
     /** Misprediction percentages by bias class. */
     MispredictionBreakdown breakdown() const;
 
-    /** Table 4 transition counts (runs the replay pass). */
-    TransitionCounts countTransitions();
+    /** Table 4 transition counts, read from the recorded steps. */
+    TransitionCounts countTransitions() const;
 
   private:
     void ensureRan() const;

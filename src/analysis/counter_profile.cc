@@ -61,23 +61,23 @@ buildCounterProfile(const StreamTracker &tracker,
     for (std::uint64_t c = 0; c < numCounters; ++c)
         bias[static_cast<std::size_t>(c)].counterId = c;
 
-    for (const StreamStats *stream : tracker.allStreams()) {
-        if (stream->counterId >= numCounters)
-            BPSIM_PANIC("stream counter id " << stream->counterId
+    for (const StreamStats &stream : tracker.streams()) {
+        if (stream.counterId >= numCounters)
+            BPSIM_PANIC("stream counter id " << stream.counterId
                         << " out of range (" << numCounters
                         << " counters)");
         CounterBias &entry =
-            bias[static_cast<std::size_t>(stream->counterId)];
-        entry.total += stream->count;
-        switch (stream->biasClass(threshold)) {
+            bias[static_cast<std::size_t>(stream.counterId)];
+        entry.total += stream.count;
+        switch (stream.biasClass(threshold)) {
           case BiasClass::StronglyTaken:
-            entry.stCount += stream->count;
+            entry.stCount += stream.count;
             break;
           case BiasClass::StronglyNotTaken:
-            entry.sntCount += stream->count;
+            entry.sntCount += stream.count;
             break;
           case BiasClass::WeaklyBiased:
-            entry.wbCount += stream->count;
+            entry.wbCount += stream.count;
             break;
         }
     }

@@ -1,5 +1,6 @@
 #include "analysis/interference.hh"
 
+#include "analysis/bias_analysis.hh"
 #include "predictors/counter.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -38,61 +39,49 @@ measureInterference(BranchPredictor &predictor, TraceReader &trace)
         BPSIM_FATAL("interference analysis requires a predictor that "
                     "exposes direction counters ("
                     << predictor.name() << " exposes none)");
+    BiasAnalysis analysis(predictor, trace);
+    analysis.run();
+    const std::vector<StreamStats> &streams = analysis.streams().streams();
 
-    predictor.reset();
-    trace.rewind();
-
-    // Who wrote each counter last (0 = nobody yet).
-    std::unordered_map<std::uint64_t, std::uint64_t> last_writer;
-    // Interference-free shadow counters per (branch, counter) pair,
-    // packed values of 2-bit counters starting weakly-taken.
-    std::unordered_map<std::uint64_t, std::uint8_t> shadow;
-    const std::uint8_t shadow_init = SaturatingCounter::weaklyTaken(2);
-
-    auto shadow_key = [](std::uint64_t pc, std::uint64_t counter) {
-        return (pc << 24) ^ counter;
-    };
+    // Interference-free shadow counter per stream (a 2-bit counter
+    // starting weakly-taken), and the stream that last used each
+    // counter (none yet). A counter's users are told apart by stream
+    // because its streams are exactly its distinct static branches.
+    std::vector<std::uint8_t> shadow(streams.size(),
+                                     SaturatingCounter::weaklyTaken(2));
+    constexpr std::uint32_t none = ~std::uint32_t{0};
+    std::vector<std::uint32_t> last_stream(
+        static_cast<std::size_t>(predictor.directionCounters()), none);
 
     InterferenceStats stats;
-    BranchRecord record;
-    while (trace.next(record)) {
-        if (!record.isConditional())
-            continue;
-        const PredictionDetail detail =
-            predictor.predictDetailed(record.pc);
-        if (detail.usesCounter) {
-            auto [it, inserted] = shadow.emplace(
-                shadow_key(record.pc, detail.counterId), shadow_init);
-            std::uint8_t &private_counter = it->second;
-            const bool private_prediction = private_counter > 1;
-
-            auto writer_it = last_writer.find(detail.counterId);
-            const bool aliased = writer_it != last_writer.end() &&
-                                 writer_it->second != record.pc;
-            if (!aliased) {
-                ++stats.unaliasedLookups;
-            } else if (detail.taken == private_prediction) {
-                ++stats.neutral;
-            } else if (detail.taken == record.taken) {
-                // The intruder's training flipped this lookup onto
-                // the right answer.
-                ++stats.constructive;
-            } else {
-                ++stats.destructive;
-            }
-
-            // Train the shadow with this branch's outcome only.
-            if (record.taken) {
-                if (private_counter < 3)
-                    ++private_counter;
-            } else {
-                if (private_counter > 0)
-                    --private_counter;
-            }
-            last_writer[detail.counterId] = record.pc;
+    for (const StreamStep step : analysis.streams().steps()) {
+        const std::uint32_t id = step.stream();
+        const bool prediction = step.taken() != step.mispredicted();
+        std::uint8_t &private_counter = shadow[id];
+        const bool private_prediction = private_counter > 1;
+        std::uint32_t &last = last_stream[static_cast<std::size_t>(
+            streams[id].counterId)];
+        if (last == none || last == id) {
+            ++stats.unaliasedLookups;
+        } else if (prediction == private_prediction) {
+            ++stats.neutral;
+        } else if (prediction == step.taken()) {
+            // The intruder's training flipped this lookup onto the
+            // right answer.
+            ++stats.constructive;
+        } else {
+            ++stats.destructive;
         }
-        predictor.observeTarget(record.pc, record.target);
-        predictor.update(record.pc, record.taken);
+
+        // Train the shadow with this branch's outcome only.
+        if (step.taken()) {
+            if (private_counter < 3)
+                ++private_counter;
+        } else {
+            if (private_counter > 0)
+                --private_counter;
+        }
+        last = id;
     }
     return stats;
 }

@@ -17,13 +17,15 @@
  * We measure this by shadowing every (static branch, counter) pair
  * with a private 2-bit counter trained only by that branch: the
  * "interference-free" prediction the shared counter is compared to.
+ * The taxonomy runs no predictor loop of its own: it takes the one
+ * BiasAnalysis pass and walks the steps that pass recorded, with a
+ * shadow counter per stream and the last stream per counter.
  */
 
 #ifndef BPSIM_ANALYSIS_INTERFERENCE_HH
 #define BPSIM_ANALYSIS_INTERFERENCE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "predictors/predictor.hh"
 #include "trace/trace_source.hh"
@@ -63,12 +65,13 @@ struct InterferenceStats
 };
 
 /**
- * Runs @p predictor over @p trace (rewound first) while attributing
- * each counter-served lookup to the taxonomy above.
+ * Runs @p predictor over @p trace (rewound first) in one BiasAnalysis
+ * pass, then attributes each counter-served lookup it recorded to
+ * the taxonomy above.
  *
- * The shadow state costs one 2-bit counter per live (branch,
- * counter) pair; for the table sizes in this project that is a few
- * hundred thousand entries at most.
+ * The shadow state costs one byte per live (branch, counter) pair;
+ * for the table sizes in this project that is a few hundred thousand
+ * entries at most.
  *
  * @param predictor a reset predictor exposing direction counters
  * @param trace the trace to measure

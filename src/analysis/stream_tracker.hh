@@ -6,7 +6,11 @@
  * Every dynamic conditional branch is served by one direction
  * counter; the tracker accumulates, for each (static branch i,
  * counter j) pair, the stream length |s_ij|, its taken count, and
- * its mispredictions. Everything in Figures 5-8 and Tables 3-4
+ * its mispredictions. It also records the served branches in trace
+ * order as steps (stream id, outcome, miss bit), so the analyses that
+ * need the interleaving — the Table 4 class transitions and the
+ * interference taxonomy — read the one recorded pass instead of
+ * re-running the predictor. Everything in Figures 5-8 and Tables 3-4
  * derives from these streams.
  */
 
@@ -14,7 +18,6 @@
 #define BPSIM_ANALYSIS_STREAM_TRACKER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/bias_class.hh"
@@ -39,7 +42,19 @@ struct StreamStats
     }
 };
 
-/** Accumulates s_ij streams during a simulation. */
+/** One counter-served dynamic branch, packed into one word: the
+ *  dense id of its stream (an index into StreamTracker::streams()),
+ *  its outcome and whether the predictor missed it. */
+struct StreamStep
+{
+    std::uint32_t bits = 0;
+
+    std::uint32_t stream() const { return bits >> 2; }
+    bool taken() const { return (bits & 2) != 0; }
+    bool mispredicted() const { return (bits & 1) != 0; }
+};
+
+/** Accumulates s_ij streams and their step sequence during a run. */
 class StreamTracker
 {
   public:
@@ -50,51 +65,75 @@ class StreamTracker
     observe(std::uint64_t pc, std::uint64_t counterId, bool taken,
             bool mispredicted)
     {
-        StreamStats &s = streams[key(pc, counterId)];
-        if (s.count == 0) {
-            s.pc = pc;
-            s.counterId = counterId;
-        }
+        const std::size_t slot = slotOf(pc, counterId);
+        const std::uint32_t id = table[slot] != 0
+                                     ? table[slot] - 1
+                                     : insert(slot, pc, counterId);
+        StreamStats &s = streamStats[id];
         ++s.count;
-        if (taken)
-            ++s.takenCount;
-        if (mispredicted)
-            ++s.mispredictions;
-        ++total;
+        s.takenCount += taken;
+        s.mispredictions += mispredicted;
+        stepLog.push_back({(id << 2) |
+                           (static_cast<std::uint32_t>(taken) << 1) |
+                           static_cast<std::uint32_t>(mispredicted)});
     }
 
     /** Number of distinct substreams seen. */
-    std::size_t streamCount() const { return streams.size(); }
+    std::size_t streamCount() const { return streamStats.size(); }
 
     /** Total dynamic branches observed. */
-    std::uint64_t totalObservations() const { return total; }
+    std::uint64_t totalObservations() const { return stepLog.size(); }
+
+    /** Every stream, indexed by stream id (first-appearance order). */
+    const std::vector<StreamStats> &streams() const { return streamStats; }
+
+    /** Every observation, in the order observe() saw them. */
+    const std::vector<StreamStep> &steps() const { return stepLog; }
 
     /** The stream for (pc, counterId), or nullptr if never seen. */
     const StreamStats *find(std::uint64_t pc,
                             std::uint64_t counterId) const;
 
-    /** All streams (unordered). */
-    std::vector<const StreamStats *> allStreams() const;
-
-    /** Streams incident on one counter. */
+    /** Streams incident on one counter, in first-appearance order. */
     std::vector<const StreamStats *>
     streamsOfCounter(std::uint64_t counterId) const;
 
   private:
-    /**
-     * Packs (pc, counterId) into one key. Counter ids are bounded
-     * by the predictor's table sizes (< 2^24 in any configuration
-     * this project builds); pcs occupy the low ~40 bits of the
-     * synthetic code region.
-     */
-    static std::uint64_t
-    key(std::uint64_t pc, std::uint64_t counterId)
+    /** The slot holding (pc, counterId), or the empty slot where it
+     *  goes. Linear probing from a multiplicative hash of the pair;
+     *  the match compares the full pair, so no two streams ever
+     *  share a slot whatever their pcs and counter ids. */
+    std::size_t
+    slotOf(std::uint64_t pc, std::uint64_t counterId) const
     {
-        return (pc << 24) ^ counterId;
+        const std::uint64_t mixed =
+            (pc ^ (counterId * 0xbf58476d1ce4e5b9ULL)) *
+            0x9e3779b97f4a7c15ULL;
+        const std::size_t mask = table.size() - 1;
+        std::size_t s = static_cast<std::size_t>(mixed >> (64 - bits));
+        while (table[s] != 0) {
+            const StreamStats &at = streamStats[table[s] - 1];
+            if (at.pc == pc && at.counterId == counterId)
+                break;
+            s = (s + 1) & mask;
+        }
+        return s;
     }
 
-    std::unordered_map<std::uint64_t, StreamStats> streams;
-    std::uint64_t total = 0;
+    /** Creates the stream for (pc, counterId) in empty @p slot;
+     *  returns its id. */
+    std::uint32_t insert(std::size_t slot, std::uint64_t pc,
+                         std::uint64_t counterId);
+
+    /** Streams by id. */
+    std::vector<StreamStats> streamStats;
+    /** The observations in order. */
+    std::vector<StreamStep> stepLog;
+    /** Stream id + 1 per slot, 0 = empty; 2^bits slots, kept at
+     *  most half full. */
+    unsigned bits = 10;
+    std::vector<std::uint32_t> table =
+        std::vector<std::uint32_t>(std::size_t{1} << bits);
 };
 
 } // namespace bpsim

@@ -1,5 +1,6 @@
 #include "sim/simd/kernel_tier.hh"
 
+#include <atomic>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -129,13 +130,14 @@ resolveKernelTier(KernelTier requested)
         requested = defaulted;
     }
     if (!tierRunnable(requested)) {
-        // Warn once per distinct degradation, not once per bank: a
-        // sweep of ten thousand fused banks should not emit ten
-        // thousand lines.
-        static KernelTier warned = KernelTier::Auto;
+        // Warn once per unavailable tier, not once per bank: a sweep
+        // of ten thousand fused banks should not emit ten thousand
+        // lines. Every campaign worker resolves its banks' tier, so
+        // the warned set is one atomic bit mask.
+        static std::atomic<unsigned> warned{0};
+        const unsigned bit = 1u << static_cast<unsigned>(requested);
         const KernelTier best = availableKernelTiers().front();
-        if (warned != requested) {
-            warned = requested;
+        if ((warned.fetch_or(bit, std::memory_order_relaxed) & bit) == 0) {
             BPSIM_WARN("kernel tier '" << kernelTierName(requested)
                        << "' is not available in this binary on this "
                        << "CPU; using '" << kernelTierName(best) << "'");

@@ -84,8 +84,9 @@ void setKernelTierOverride(KernelTier tier);
  * Resolves @p requested to the tier a bank replay should run:
  * a non-Auto request, the override, $BPSIM_KERNEL_TIER and CPU
  * detection, in that order (see the file comment), degraded to the
- * best available tier when the chosen one cannot run here.
- * Never returns Auto.
+ * best available tier when the chosen one cannot run here, with one
+ * warning per unavailable tier. Never returns Auto. Safe to call
+ * from concurrent campaign workers.
  */
 KernelTier resolveKernelTier(KernelTier requested = KernelTier::Auto);
 

@@ -2,9 +2,9 @@
  * @file
  * Abstract interfaces for producing and consuming branch traces.
  *
- * The analyses in this project are replay-based: the bias-class
- * transition study (paper Table 4) needs a second pass over the same
- * trace, so every reader supports rewind().
+ * Every consumer starts its pass with rewind(), so one reader can
+ * serve several runs in turn (a simulation and then a bias analysis
+ * of the same trace, or one run per predictor of a sweep).
  */
 
 #ifndef BPSIM_TRACE_TRACE_SOURCE_HH

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/stream_tracker.hh"
 
 namespace bpsim
@@ -63,11 +65,11 @@ TEST(StreamTracker, AllStreamsReturnsEverything)
     tracker.observe(0x1000, 1, true, false);
     tracker.observe(0x2000, 2, false, false);
     tracker.observe(0x3000, 1, true, true);
-    const auto streams = tracker.allStreams();
+    const std::vector<StreamStats> &streams = tracker.streams();
     EXPECT_EQ(streams.size(), 3u);
     std::uint64_t total = 0;
-    for (const StreamStats *stream : streams)
-        total += stream->count;
+    for (const StreamStats &stream : streams)
+        total += stream.count;
     EXPECT_EQ(total, tracker.totalObservations());
 }
 
@@ -100,6 +102,87 @@ TEST(StreamTracker, NoKeyCollisionsAcrossLargeSpace)
     tracker.observe(0x1001, 0x0, true, false);
     tracker.observe((0x1000 << 1) | 1, 0x1, true, false);
     EXPECT_EQ(tracker.streamCount(), 3u);
+}
+
+TEST(StreamTracker, NoKeyCollisionsForWideCounterIds)
+{
+    // Counter ids reach 2^28 (the registry's largest tables); a
+    // packed key that shifts the pc left would fold them into the
+    // pc bits.
+    StreamTracker tracker;
+    tracker.observe(0x1004, 0, true, false);
+    tracker.observe(0x1000, std::uint64_t{1} << 26, false, false);
+    EXPECT_EQ(tracker.streamCount(), 2u);
+    EXPECT_EQ(tracker.find(0x1004, 0)->takenCount, 1u);
+    EXPECT_EQ(tracker.find(0x1000, std::uint64_t{1} << 26)->takenCount,
+              0u);
+}
+
+TEST(StreamTracker, NoKeyCollisionsForHighPcBits)
+{
+    // Imported traces carry full 48-bit pcs; two that differ only
+    // above bit 40 are still distinct branches.
+    StreamTracker tracker;
+    tracker.observe(0x7f0000401000, 3, true, false);
+    tracker.observe(0x401000, 3, false, false);
+    EXPECT_EQ(tracker.streamCount(), 2u);
+    EXPECT_EQ(tracker.find(0x7f0000401000, 3)->pc, 0x7f0000401000u);
+    EXPECT_EQ(tracker.find(0x401000, 3)->pc, 0x401000u);
+}
+
+TEST(StreamTracker, StreamsComeInFirstAppearanceOrder)
+{
+    // Table 3's paper example lists its streams in the order they are
+    // fed; the tracker must return them that way, not in hash order.
+    StreamTracker tracker;
+    const std::vector<std::uint64_t> pcs = {0x001, 0x005, 0x100, 0x150};
+    for (int round = 0; round < 3; ++round) {
+        for (const std::uint64_t pc : pcs)
+            tracker.observe(pc, 0, true, false);
+        tracker.observe(0x200, 1, true, false);
+    }
+    std::vector<std::uint64_t> at0;
+    for (const StreamStats *stream : tracker.streamsOfCounter(0))
+        at0.push_back(stream->pc);
+    EXPECT_EQ(at0, pcs);
+    std::vector<std::uint64_t> all;
+    for (const StreamStats &stream : tracker.streams())
+        all.push_back(stream.pc);
+    EXPECT_EQ(all, (std::vector<std::uint64_t>{0x001, 0x005, 0x100, 0x150,
+                                               0x200}));
+}
+
+TEST(StreamTracker, StepsRecordTheObservationSequence)
+{
+    StreamTracker tracker;
+    tracker.observe(0x1000, 1, true, false);
+    tracker.observe(0x2000, 1, false, true);
+    tracker.observe(0x1000, 1, false, false);
+    const std::vector<StreamStep> &steps = tracker.steps();
+    ASSERT_EQ(steps.size(), 3u);
+    EXPECT_EQ(steps[0].stream(), 0u);
+    EXPECT_EQ(steps[1].stream(), 1u);
+    EXPECT_EQ(steps[2].stream(), 0u);
+    EXPECT_TRUE(steps[0].taken());
+    EXPECT_FALSE(steps[0].mispredicted());
+    EXPECT_FALSE(steps[1].taken());
+    EXPECT_TRUE(steps[1].mispredicted());
+    EXPECT_EQ(tracker.streams()[steps[1].stream()].pc, 0x2000u);
+}
+
+TEST(StreamTracker, FindsEveryStreamAcrossTableGrowth)
+{
+    // Enough streams to grow the index several times over.
+    StreamTracker tracker;
+    for (std::uint64_t i = 0; i < 5000; ++i)
+        tracker.observe(0x400000 + 4 * (i % 2500), i / 2500, true, false);
+    ASSERT_EQ(tracker.streamCount(), 5000u);
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        const StreamStats *stream =
+            tracker.find(0x400000 + 4 * (i % 2500), i / 2500);
+        ASSERT_NE(stream, nullptr);
+        EXPECT_EQ(stream, &tracker.streams()[i]);
+    }
 }
 
 } // namespace

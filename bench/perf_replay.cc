@@ -289,7 +289,11 @@ main(int argc, char **argv)
         "agree:n=12",    "gskew:n=11",       "yags:c=12,n=10",
         "tournament:n=11", "gag:h=12",       "gas:h=9,a=3",
         "pag:h=10,l=10", "pas:h=8,l=10,a=3",
-        "filter:n=12,h=8,b=10,k=3"};
+        "filter:n=12,h=8,b=10,k=3",
+        // The scheme_comparison perceptrons, plus a long-history one
+        // that fills a 64-lane weight row with 16-bit weights.
+        "perceptron:n=5,h=21", "perceptron:n=7,h=21",
+        "perceptron:n=9,h=21", "perceptron:n=8,h=62,w=16"};
 
     TextTable table;
     table.setColumns({"config", "predictor", "virtual Mbr/s",

@@ -48,7 +48,7 @@ main(int argc, char **argv)
     {
         GsharePredictor predictor(8, 8);
         auto reader = trace.reader();
-        BiasAnalysis analysis(predictor, reader);
+        BiasAnalysis analysis(predictor, reader, StepLog::Keep);
         analysis.run();
         const TransitionCounts counts = analysis.countTransitions();
         table.addRow({"history-indexed gshare (n=8,h=8)",
@@ -66,7 +66,7 @@ main(int argc, char **argv)
         cfg.historyBits = 7;
         BiModePredictor predictor(cfg);
         auto reader = trace.reader();
-        BiasAnalysis analysis(predictor, reader);
+        BiasAnalysis analysis(predictor, reader, StepLog::Keep);
         analysis.run();
         const TransitionCounts counts = analysis.countTransitions();
         table.addRow({"bi-mode (c=128, 2x128 direction)",

@@ -6,8 +6,9 @@ namespace bpsim
 {
 
 BiasAnalysis::BiasAnalysis(BranchPredictor &predictor, TraceReader &trace,
-                           double threshold)
-    : predictor(predictor), trace(trace), threshold(threshold)
+                           StepLog steps, double threshold)
+    : predictor(predictor), trace(trace), threshold(threshold),
+      tracker(steps)
 {
     if (predictor.directionCounters() == 0)
         BPSIM_FATAL("bias analysis requires a predictor that exposes "
@@ -95,6 +96,7 @@ TransitionCounts
 BiasAnalysis::countTransitions() const
 {
     ensureRan();
+    const std::vector<StreamStep> &steps = tracker.steps();
 
     // The role of a class at a counter depends on the counter's
     // dominant class: tally each counter's strongly-biased traffic,
@@ -134,7 +136,7 @@ BiasAnalysis::countTransitions() const
     // whenever the counter next serves a stream of another role.
     std::vector<Role> last(num_counters, Role::None);
     TransitionCounts counts;
-    for (const StreamStep step : tracker.steps()) {
+    for (const StreamStep step : steps) {
         const Role now = role[step.stream()];
         Role &prev = last[static_cast<std::size_t>(
             streams[step.stream()].counterId)];

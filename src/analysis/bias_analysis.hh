@@ -8,11 +8,12 @@
  *  - the misprediction breakdown by bias class (Figures 7/8),
  *  - the bias-class transition counts (Table 4).
  *
- * run() is the one pass that drives the predictor. It records every
- * counter-served branch as a step (stream, outcome, miss) in the
- * StreamTracker; the transition count, which needs the classes that
- * are only known after the whole run, walks those steps afterwards
- * instead of replaying the trace.
+ * run() is the one pass that drives the predictor. Built with
+ * StepLog::Keep, it also records every counter-served branch as a
+ * step (stream, outcome, miss) in the StreamTracker; the transition
+ * count, which needs the classes that are only known after the whole
+ * run, walks those steps afterwards instead of replaying the trace.
+ * The profile and the breakdown read the streams alone.
  */
 
 #ifndef BPSIM_ANALYSIS_BIAS_ANALYSIS_HH
@@ -65,10 +66,12 @@ class BiasAnalysis
     /**
      * @param predictor analyzed predictor; reset before the pass
      * @param trace trace to analyze; rewound before the pass
+     * @param steps StepLog::Keep when the caller reads the step
+     *        sequence: countTransitions() or streams().steps()
      * @param threshold bias-class threshold (paper: 0.9)
      */
     BiasAnalysis(BranchPredictor &predictor, TraceReader &trace,
-                 double threshold = 0.9);
+                 StepLog steps = StepLog::Drop, double threshold = 0.9);
 
     /** Executes the pass (idempotent). */
     void run();
@@ -85,7 +88,8 @@ class BiasAnalysis
     /** Misprediction percentages by bias class. */
     MispredictionBreakdown breakdown() const;
 
-    /** Table 4 transition counts, read from the recorded steps. */
+    /** Table 4 transition counts, read from the recorded steps
+     *  (StepLog::Keep only; panics otherwise). */
     TransitionCounts countTransitions() const;
 
   private:

@@ -39,7 +39,7 @@ measureInterference(BranchPredictor &predictor, TraceReader &trace)
         BPSIM_FATAL("interference analysis requires a predictor that "
                     "exposes direction counters ("
                     << predictor.name() << " exposes none)");
-    BiasAnalysis analysis(predictor, trace);
+    BiasAnalysis analysis(predictor, trace, StepLog::Keep);
     analysis.run();
     const std::vector<StreamStats> &streams = analysis.streams().streams();
 

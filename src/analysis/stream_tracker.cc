@@ -29,6 +29,15 @@ StreamTracker::insert(std::size_t slot, std::uint64_t pc,
     return id;
 }
 
+const std::vector<StreamStep> &
+StreamTracker::steps() const
+{
+    if (log != StepLog::Keep)
+        BPSIM_PANIC("stream steps read from a tracker built without "
+                    "StepLog::Keep");
+    return stepLog;
+}
+
 const StreamStats *
 StreamTracker::find(std::uint64_t pc, std::uint64_t counterId) const
 {

@@ -6,12 +6,12 @@
  * Every dynamic conditional branch is served by one direction
  * counter; the tracker accumulates, for each (static branch i,
  * counter j) pair, the stream length |s_ij|, its taken count, and
- * its mispredictions. It also records the served branches in trace
- * order as steps (stream id, outcome, miss bit), so the analyses that
- * need the interleaving — the Table 4 class transitions and the
- * interference taxonomy — read the one recorded pass instead of
- * re-running the predictor. Everything in Figures 5-8 and Tables 3-4
- * derives from these streams.
+ * its mispredictions. When asked to at construction, it also records
+ * the served branches in trace order as steps (stream id, outcome,
+ * miss bit), so the analyses that need the interleaving — the Table 4
+ * class transitions and the interference taxonomy — read the one
+ * recorded pass instead of re-running the predictor. Everything in
+ * Figures 5-8 and Tables 3-4 derives from these streams.
  */
 
 #ifndef BPSIM_ANALYSIS_STREAM_TRACKER_HH
@@ -54,11 +54,21 @@ struct StreamStep
     bool mispredicted() const { return (bits & 1) != 0; }
 };
 
-/** Accumulates s_ij streams and their step sequence during a run. */
+/** Whether a run keeps its step sequence (StreamTracker::steps()).
+ *  The steps cost 4 bytes per counter-served branch, so only the
+ *  readers of the interleaving ask for them. */
+enum class StepLog : bool
+{
+    Drop,
+    Keep,
+};
+
+/** Accumulates s_ij streams and, on request, their step sequence
+ *  during a run. */
 class StreamTracker
 {
   public:
-    StreamTracker() = default;
+    explicit StreamTracker(StepLog steps = StepLog::Drop) : log(steps) {}
 
     /** Records one dynamic branch served by @p counterId. */
     void
@@ -73,22 +83,26 @@ class StreamTracker
         ++s.count;
         s.takenCount += taken;
         s.mispredictions += mispredicted;
-        stepLog.push_back({(id << 2) |
-                           (static_cast<std::uint32_t>(taken) << 1) |
-                           static_cast<std::uint32_t>(mispredicted)});
+        ++observations;
+        if (log == StepLog::Keep) {
+            stepLog.push_back({(id << 2) |
+                               (static_cast<std::uint32_t>(taken) << 1) |
+                               static_cast<std::uint32_t>(mispredicted)});
+        }
     }
 
     /** Number of distinct substreams seen. */
     std::size_t streamCount() const { return streamStats.size(); }
 
     /** Total dynamic branches observed. */
-    std::uint64_t totalObservations() const { return stepLog.size(); }
+    std::uint64_t totalObservations() const { return observations; }
 
     /** Every stream, indexed by stream id (first-appearance order). */
     const std::vector<StreamStats> &streams() const { return streamStats; }
 
-    /** Every observation, in the order observe() saw them. */
-    const std::vector<StreamStep> &steps() const { return stepLog; }
+    /** Every observation, in the order observe() saw them. Panics
+     *  unless the tracker was built with StepLog::Keep. */
+    const std::vector<StreamStep> &steps() const;
 
     /** The stream for (pc, counterId), or nullptr if never seen. */
     const StreamStats *find(std::uint64_t pc,
@@ -125,9 +139,12 @@ class StreamTracker
     std::uint32_t insert(std::size_t slot, std::uint64_t pc,
                          std::uint64_t counterId);
 
+    StepLog log;
     /** Streams by id. */
     std::vector<StreamStats> streamStats;
-    /** The observations in order. */
+    /** Dynamic branches observed. */
+    std::uint64_t observations = 0;
+    /** The observations in order (StepLog::Keep only). */
     std::vector<StreamStep> stepLog;
     /** Stream id + 1 per slot, 0 = empty; 2^bits slots, kept at
      *  most half full. */

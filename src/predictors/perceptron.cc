@@ -18,37 +18,15 @@ PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
         BPSIM_CONFIG_ERROR("perceptron weights must be 2..16 bits");
     threshold =
         static_cast<std::int32_t>(std::floor(1.93 * cfg.historyBits + 14.0));
-    weightMax = (1 << (cfg.weightBits - 1)) - 1;
-    weightMin = -(1 << (cfg.weightBits - 1));
+    weightMax = static_cast<std::int16_t>((1 << (cfg.weightBits - 1)) - 1);
+    weightMin = static_cast<std::int16_t>(-(1 << (cfg.weightBits - 1)));
+    const unsigned live = cfg.historyBits + 1;
+    rowChunks = (live + kChunkLanes - 1) / kChunkLanes;
+    for (unsigned j = 0; j < kChunkLanes; ++j)
+        tailMask[j] = (rowChunks - 1) * kChunkLanes + j < live ? -1 : 0;
     const std::size_t entries =
         checkedTableEntries(cfg.tableIndexBits, "perceptron");
-    weights.assign(entries * (cfg.historyBits + 1), 0);
-}
-
-std::size_t
-PerceptronPredictor::indexFor(std::uint64_t pc) const
-{
-    return static_cast<std::size_t>(pcIndexBits(pc, cfg.tableIndexBits));
-}
-
-std::int32_t
-PerceptronPredictor::weightAt(std::size_t perceptron, unsigned i) const
-{
-    return weights[perceptron * (cfg.historyBits + 1) + i];
-}
-
-std::int32_t
-PerceptronPredictor::outputFor(std::uint64_t pc) const
-{
-    const std::size_t p = indexFor(pc);
-    // Bias weight plus the +/-1 dot product with the history bits.
-    std::int32_t y = weightAt(p, 0);
-    const std::uint64_t h = history.value();
-    for (unsigned i = 0; i < cfg.historyBits; ++i) {
-        const bool bit = (h >> i) & 1;
-        y += bit ? weightAt(p, i + 1) : -weightAt(p, i + 1);
-    }
-    return y;
+    weights.assign(entries * rowLanes(), 0);
 }
 
 PredictionDetail
@@ -60,34 +38,6 @@ PerceptronPredictor::detailFast(std::uint64_t pc) const
     detail.bank = 0;
     detail.counterId = indexFor(pc);
     return detail;
-}
-
-void
-PerceptronPredictor::train(std::uint64_t pc, std::int32_t y, bool taken)
-{
-    const bool prediction = y >= 0;
-    // Train on a misprediction or while the output magnitude has not
-    // cleared the confidence threshold.
-    if (prediction != taken || std::abs(y) <= threshold) {
-        const std::size_t base = indexFor(pc) * (cfg.historyBits + 1);
-        auto adjust = [&](std::size_t slot, bool agrees) {
-            std::int16_t &w = weights[slot];
-            if (agrees) {
-                if (w < weightMax)
-                    ++w;
-            } else {
-                if (w > weightMin)
-                    --w;
-            }
-        };
-        adjust(base + 0, taken);
-        const std::uint64_t h = history.value();
-        for (unsigned i = 0; i < cfg.historyBits; ++i) {
-            const bool bit = (h >> i) & 1;
-            adjust(base + i + 1, bit == taken);
-        }
-    }
-    history.push(taken);
 }
 
 void
@@ -109,16 +59,17 @@ PerceptronPredictor::name() const
 std::uint64_t
 PerceptronPredictor::storageBits() const
 {
-    return static_cast<std::uint64_t>(weights.size()) * cfg.weightBits +
-           history.storageBits();
+    return counterBits() + history.storageBits();
 }
 
 std::uint64_t
 PerceptronPredictor::counterBits() const
 {
     // All prediction state is weights; the paper-style x-axis cost is
-    // the full weight storage.
-    return static_cast<std::uint64_t>(weights.size()) * cfg.weightBits;
+    // the full weight storage: 2^n perceptrons of h + 1 weights. Row
+    // padding is a layout detail, not modeled hardware.
+    return (std::uint64_t{1} << cfg.tableIndexBits) *
+           (cfg.historyBits + 1) * cfg.weightBits;
 }
 
 std::uint64_t

@@ -113,7 +113,7 @@ TEST(BiasAnalysis, TransitionsCountInterleaving)
     }
     BimodalPredictor predictor(4);
     auto reader = trace.reader();
-    BiasAnalysis analysis(predictor, reader);
+    BiasAnalysis analysis(predictor, reader, StepLog::Keep);
     analysis.run();
     const TransitionCounts counts = analysis.countTransitions();
     // 2*pairs accesses alternate classes: every consecutive pair is
@@ -135,7 +135,7 @@ TEST(BiasAnalysis, NoTransitionsForIsolatedStreams)
     }
     BimodalPredictor predictor(6);
     auto reader = trace.reader();
-    BiasAnalysis analysis(predictor, reader);
+    BiasAnalysis analysis(predictor, reader, StepLog::Keep);
     analysis.run();
     const TransitionCounts counts = analysis.countTransitions();
     EXPECT_EQ(counts.total(), 0u);
@@ -171,6 +171,22 @@ TEST(BiasAnalysisDeath, AccessBeforeRunPanics)
     auto reader = trace.reader();
     BiasAnalysis analysis(predictor, reader);
     EXPECT_DEATH(analysis.counterProfile(), "before run");
+}
+
+TEST(BiasAnalysisDeath, TransitionsNeedTheStepLog)
+{
+    MemoryTrace trace;
+    for (int i = 0; i < 20; ++i)
+        trace.append(cond(0x1000, i % 3 == 0));
+    BimodalPredictor predictor(4);
+    auto reader = trace.reader();
+    BiasAnalysis analysis(predictor, reader);
+    analysis.run();
+    // The profile and breakdown need no steps; transitions do.
+    EXPECT_EQ(analysis.streams().totalObservations(), 20u);
+    EXPECT_NEAR(analysis.breakdown().totalPercent(),
+                analysis.result().mispredictionRate(), 1e-9);
+    EXPECT_DEATH(analysis.countTransitions(), "StepLog::Keep");
 }
 
 } // namespace

@@ -207,7 +207,7 @@ TEST_P(ReferencePasses, TransitionsMatchTwoPassReplay)
 {
     const PredictorPtr single = make(GetParam());
     auto reader = gccTrace().reader();
-    BiasAnalysis analysis(*single, reader);
+    BiasAnalysis analysis(*single, reader, StepLog::Keep);
     analysis.run();
     const TransitionCounts got = analysis.countTransitions();
 

@@ -154,7 +154,7 @@ TEST(StreamTracker, StreamsComeInFirstAppearanceOrder)
 
 TEST(StreamTracker, StepsRecordTheObservationSequence)
 {
-    StreamTracker tracker;
+    StreamTracker tracker(StepLog::Keep);
     tracker.observe(0x1000, 1, true, false);
     tracker.observe(0x2000, 1, false, true);
     tracker.observe(0x1000, 1, false, false);
@@ -168,6 +168,18 @@ TEST(StreamTracker, StepsRecordTheObservationSequence)
     EXPECT_FALSE(steps[1].taken());
     EXPECT_TRUE(steps[1].mispredicted());
     EXPECT_EQ(tracker.streams()[steps[1].stream()].pc, 0x2000u);
+}
+
+TEST(StreamTracker, DropsStepsUnlessAsked)
+{
+    // The default tracker keeps counts only; reading its steps is a
+    // caller bug, not an empty sequence.
+    StreamTracker tracker;
+    tracker.observe(0x1000, 1, true, false);
+    tracker.observe(0x2000, 1, false, true);
+    EXPECT_EQ(tracker.totalObservations(), 2u);
+    EXPECT_EQ(tracker.streamCount(), 2u);
+    EXPECT_DEATH(tracker.steps(), "StepLog::Keep");
 }
 
 TEST(StreamTracker, FindsEveryStreamAcrossTableGrowth)

@@ -134,7 +134,7 @@ TEST(EndToEnd, BiModeReducesClassTransitions)
 
     GsharePredictor gshare(8, 8);
     auto reader1 = trace.reader();
-    BiasAnalysis gshare_analysis(gshare, reader1);
+    BiasAnalysis gshare_analysis(gshare, reader1, StepLog::Keep);
     gshare_analysis.run();
     const TransitionCounts gshare_counts =
         gshare_analysis.countTransitions();
@@ -145,7 +145,7 @@ TEST(EndToEnd, BiModeReducesClassTransitions)
     cfg.historyBits = 7;
     BiModePredictor bimode(cfg);
     auto reader2 = trace.reader();
-    BiasAnalysis bimode_analysis(bimode, reader2);
+    BiasAnalysis bimode_analysis(bimode, reader2, StepLog::Keep);
     bimode_analysis.run();
     const TransitionCounts bimode_counts =
         bimode_analysis.countTransitions();

@@ -63,9 +63,11 @@ randomConfig(Rng &rng)
         os << "tournament:n=" << rng.nextRange(2, 12);
         break;
       case 7:
+        // The full ranges: up to a 64-lane weight row and 16-bit
+        // weights, whose extreme -32768 must widen before negation.
         os << "perceptron:n=" << rng.nextRange(1, 8)
-           << ",h=" << rng.nextRange(1, 40)
-           << ",w=" << rng.nextRange(2, 12);
+           << ",h=" << rng.nextRange(1, 63)
+           << ",w=" << rng.nextRange(2, 16);
         break;
       case 8: {
         const auto h = rng.nextRange(1, 10);

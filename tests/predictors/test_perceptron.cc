@@ -132,6 +132,16 @@ TEST(Perceptron, StorageAccounting)
     EXPECT_EQ(predictor.storageBits(), 64u * 17 * 8 + 16);
     EXPECT_EQ(predictor.counterBits(), 64u * 17 * 8);
     EXPECT_EQ(predictor.directionCounters(), 64u);
+
+    // h + 1 = 22 weights sit in a row padded to 24 lanes; the modeled
+    // cost counts the 22 (the scheme_comparison ~1 KB perceptron:
+    // 32 x 22 x 8 bits = 0.69 KB).
+    cfg.tableIndexBits = 5;
+    cfg.historyBits = 21;
+    PerceptronPredictor padded(cfg);
+    EXPECT_EQ(padded.counterBits(), 32u * 22 * 8);
+    EXPECT_EQ(padded.storageBits(), 32u * 22 * 8 + 21);
+    EXPECT_EQ(padded.directionCounters(), 32u);
 }
 
 TEST(Perceptron, DetailReportsTableEntry)

@@ -43,13 +43,11 @@
 // Predictors.
 #include "predictors/agree.hh"
 #include "predictors/bimodal.hh"
-#include "predictors/btb.hh"
 #include "predictors/filter.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
 #include "predictors/perceptron.hh"
 #include "predictors/predictor.hh"
-#include "predictors/ras.hh"
 #include "predictors/static_predictors.hh"
 #include "predictors/tournament.hh"
 #include "predictors/twolevel.hh"
@@ -61,8 +59,6 @@
 
 // Simulation engine.
 #include "sim/gshare_sweep.hh"
-#include "sim/interval_stats.hh"
-#include "sim/pipeline_model.hh"
 #include "sim/simulator.hh"
 #include "sim/size_ladder.hh"
 #include "sim/trace_cache.hh"

@@ -187,9 +187,16 @@ main(int argc, char **argv)
                    "--h2p: misprediction share (percent) the H2P set "
                    "covers");
     args.addOption("top", "20", "--h2p: ranking rows per table");
+    args.addFlag("grammar",
+                 "print the --configs grammar (every registered "
+                 "predictor kind with its parameter schema) and exit");
     CommonOptions::declare(args);
     if (!args.parse(argc, argv))
         return 0;
+    if (args.flag("grammar")) {
+        std::cout << predictorGrammarHelp();
+        return 0;
+    }
 
     const CommonOptions opts = CommonOptions::fromArgs(args);
     setVerbose(opts.verbose);

@@ -141,13 +141,10 @@ TraceCache::packedFor(const WorkloadSpec &spec)
         const StoreStatus status = store->loadPacked(
             spec.name, fingerprintFor(spec), loaded, why);
         if (status == StoreStatus::Loaded) {
-            // Without call/return records every generated record is
-            // conditional, so the packed count is pinned by the spec;
-            // a disagreeing file is stale even if self-consistent.
-            const bool count_ok =
-                spec.emitCallsAndReturns ||
-                loaded.size() == spec.dynamicBranches;
-            if (count_ok) {
+            // Every generated record is conditional, so the packed
+            // count is pinned by the spec; a disagreeing file is
+            // stale even if self-consistent.
+            if (loaded.size() == spec.dynamicBranches) {
                 BPSIM_INFORM("loaded cached packed trace for "
                              << spec.name << " (" << loaded.size()
                              << " conditionals, "

@@ -88,9 +88,8 @@ TraceGenerator::pickNextRoutine(std::size_t current)
 }
 
 void
-TraceGenerator::walkRoutine(std::size_t routineIndex, unsigned depth,
-                            std::uint64_t count, std::uint64_t &emitted,
-                            TraceWriter &sink)
+TraceGenerator::walkRoutine(std::size_t routineIndex, std::uint64_t count,
+                            std::uint64_t &emitted, TraceWriter &sink)
 {
     Routine &routine = program.routine(routineIndex);
     BranchRecord record;
@@ -118,37 +117,6 @@ TraceGenerator::walkRoutine(std::size_t routineIndex, unsigned depth,
             ++emitted;
             // A loop site repeats while its back edge is taken.
         } while (site.isLoop && outcome && emitted < count);
-
-        // Optional nested call to a successor routine: emit the
-        // call, walk the callee, emit the matching return. The
-        // call site sits just past the current branch.
-        if (spec.emitCallsAndReturns && depth < 8 && emitted < count &&
-            rng.nextBool(spec.callSiteProbability)) {
-            const std::size_t callee = pickNextRoutine(routineIndex);
-            const std::uint64_t call_pc = site.pc + 4;
-            const std::uint64_t callee_entry =
-                program.routine(callee).sites.front().pc - 4;
-
-            record.pc = call_pc;
-            record.target = callee_entry;
-            record.type = BranchType::Call;
-            record.taken = true;
-            sink.append(record);
-            ++emitted;
-
-            walkRoutine(callee, depth + 1, count, emitted, sink);
-
-            if (emitted < count) {
-                const std::uint64_t callee_exit =
-                    program.routine(callee).sites.back().pc + 8;
-                record.pc = callee_exit;
-                record.target = call_pc + 4;
-                record.type = BranchType::Return;
-                record.taken = true;
-                sink.append(record);
-                ++emitted;
-            }
-        }
 
         if (!site.isLoop && outcome && site.skipOnTaken > 0)
             i += 1 + site.skipOnTaken;
@@ -179,7 +147,7 @@ TraceGenerator::generate(std::uint64_t count, TraceWriter &sink)
             program.siteCount() * 2 < count) {
             current = sweep_order[sweep_position++];
         }
-        walkRoutine(current, 0, count, emitted, sink);
+        walkRoutine(current, count, emitted, sink);
         current = pickNextRoutine(current);
     }
 }

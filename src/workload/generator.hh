@@ -45,14 +45,9 @@ class TraceGenerator
   private:
     std::size_t pickNextRoutine(std::size_t current);
 
-    /**
-     * Executes one routine, emitting its branch records; with
-     * call/return emission enabled, may recursively call successor
-     * routines mid-body (bounded depth).
-     */
-    void walkRoutine(std::size_t routineIndex, unsigned depth,
-                     std::uint64_t count, std::uint64_t &emitted,
-                     TraceWriter &sink);
+    /** Executes one routine, emitting its branch records. */
+    void walkRoutine(std::size_t routineIndex, std::uint64_t count,
+                     std::uint64_t &emitted, TraceWriter &sink);
 
     Program &program;
     WorkloadSpec spec;

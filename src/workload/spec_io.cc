@@ -192,16 +192,6 @@ fieldRegistry()
          paramUnsignedField(&BehaviorParams::patternLenHi)},
         {"params.phase_length",
          paramDoubleField(&BehaviorParams::phaseLength)},
-        {"emit_calls_and_returns",
-         Field{[](WorkloadSpec &s, const std::string &key,
-                  const std::string &v) {
-                   s.emitCallsAndReturns = parseUint(key, v) != 0;
-               },
-               [](const WorkloadSpec &s) {
-                   return std::string(s.emitCallsAndReturns ? "1" : "0");
-               }}},
-        {"call_site_probability",
-         doubleField(&WorkloadSpec::callSiteProbability)},
     };
     return registry;
 }

@@ -112,17 +112,6 @@ struct WorkloadSpec
     double sitesPerRoutine = 10.0;
     /** Base of the code region branch pcs are placed in. */
     std::uint64_t codeBase = 0x0040'0000;
-    /**
-     * Emit call/return records around nested routine invocations
-     * (default off: direction-prediction studies use conditional-only
-     * traces, and the paper's statistics count conditionals only).
-     * When on, routines occasionally call a successor mid-body, up to
-     * a bounded depth — the structure a return address stack exists
-     * for. Call/return records count toward dynamicBranches.
-     */
-    bool emitCallsAndReturns = false;
-    /** Probability of a mid-routine call after each site. */
-    double callSiteProbability = 0.10;
 };
 
 } // namespace bpsim

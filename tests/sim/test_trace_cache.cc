@@ -9,6 +9,7 @@
 #include "sim/trace_cache.hh"
 #include "trace/codec.hh"
 #include "trace/trace_store.hh"
+#include "workload/generator.hh"
 
 namespace bpsim
 {
@@ -272,6 +273,37 @@ TEST(TraceCache, OlderFormatVersionsRegenerateAndRewrite)
             f.seekp(4);
             f.write(reinterpret_cast<const char *>(version), 4);
         });
+}
+
+TEST(TraceCache, PackedFileWithWrongRecordCountIsRebuilt)
+{
+    // A self-consistent PBT1 file under the right name and
+    // fingerprint whose record count is not the spec's dynamic count
+    // (here: a shorter trace of the same workload) is stale; the
+    // cache must count it invalid, rebuild and rewrite it.
+    TempStoreDir dir("cache_packed_count");
+    const WorkloadSpec spec = tinySpec("a", 5000);
+    const std::uint64_t fp = workloadTraceFingerprint(spec);
+    const TraceStore store(dir.path());
+    std::string why;
+    ASSERT_TRUE(store.storePacked(
+        spec.name, fp,
+        PackedTrace(generateWorkloadTrace(tinySpec("a", 4000))), why))
+        << why;
+
+    TraceCache rebuilding(dir.path());
+    const PackedTrace &rebuilt = rebuilding.packedFor(spec);
+    EXPECT_EQ(rebuilt.size(), 5000u);
+    EXPECT_EQ(rebuilding.stats().invalidFiles, 1u);
+    EXPECT_EQ(rebuilding.stats().packedLoads, 0u);
+    EXPECT_EQ(rebuilding.stats().packedBuilt, 1u);
+    expectSamePacked(rebuilt, generateWorkloadTrace(spec));
+
+    TraceCache healed(dir.path());
+    EXPECT_EQ(healed.packedFor(spec).size(), 5000u);
+    EXPECT_EQ(healed.stats().invalidFiles, 0u);
+    EXPECT_EQ(healed.stats().packedLoads, 1u);
+    EXPECT_EQ(healed.stats().packedBuilt, 0u);
 }
 
 TEST(TraceCache, UnwritableStoreWarnsAndKeepsServing)
